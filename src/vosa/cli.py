@@ -56,13 +56,24 @@ def _cache_key(payload: dict) -> str:
 
 
 def _cache_get(cache_dir, key):
+    """The cached report, or None on a miss.
+
+    An entry that does not decode to a report of this schema (a
+    truncated write, a foreign file) is a miss too; the recomputed report
+    then replaces it.
+    """
     if not cache_dir:
         return None
     path = os.path.join(cache_dir, key + ".json")
-    if os.path.exists(path):
+    try:
         with open(path) as f:
-            return json.load(f)
-    return None
+            entry = json.load(f)
+    except (FileNotFoundError, ValueError):
+        return None
+    if (not isinstance(entry, dict) or entry.get("schema") != SCHEMA
+            or "certified" not in entry):
+        return None
+    return entry
 
 
 def _cache_put(cache_dir, key, result: dict) -> None:
@@ -100,9 +111,6 @@ def _emit(result: dict, args) -> None:
 
 
 def cmd_zhu(args) -> int:
-    from .modules import certified_zhu
-    from .zhu import ZhuAlgebra, block_profile
-
     ctx = _context(args)
     key = _cache_key({
         "cmd": "zhu",
@@ -113,10 +121,20 @@ def cmd_zhu(args) -> int:
         "certify": bool(args.certify),
         "version": __version__,
     })
-    cached = _cache_get(_cache_dir(args), key)
-    if cached is not None:
-        _emit(cached, args)
-        return EXIT_OK if cached.get("certified", True) else EXIT_UNCERTIFIED
+    result = _cache_get(_cache_dir(args), key)
+    if result is None:
+        result = _zhu_report(ctx, args)
+        _cache_put(_cache_dir(args), key, result)
+    _emit(result, args)
+    if args.certify and not result["certified"]:
+        return EXIT_UNCERTIFIED
+    return EXIT_OK
+
+
+def _zhu_report(ctx, args) -> dict:
+    from .modules import certified_zhu
+    from .zhu import ZhuAlgebra, block_profile
+
     if args.certify:
         rep = certified_zhu(ctx, args.max_weight, args.margin)
         alg = rep["algebra"]
@@ -144,11 +162,7 @@ def cmd_zhu(args) -> int:
     result["blocks"] = prof["blocks"]
     result["center_dim"] = prof["center_dim"]
     result["radical_dim"] = prof["radical_dim"]
-    _cache_put(_cache_dir(args), key, result)
-    _emit(result, args)
-    if args.certify and not result["certified"]:
-        return EXIT_UNCERTIFIED
-    return EXIT_OK
+    return result
 
 
 def _suite_virasoro(ctx, args) -> dict:
@@ -207,9 +221,7 @@ def _suite_zhu_axioms(ctx, args) -> dict:
         _commutes(alg, wcl, i) for i in range(alg.dim)
     )
     unit = alg.unit_coords()
-    unit_ok = all(
-        alg.star_coords(i, i) is not None for i in range(alg.dim)
-    ) and _is_unit(alg, unit)
+    unit_ok = _is_unit(alg, unit)
     ok = assoc and central and unit_ok
     return {"ok": ok, "details": {"associative": assoc, "omega_central":
                                   central, "unit": unit_ok}}
@@ -446,6 +458,15 @@ def _apply_config(args, argv) -> None:
         setattr(args, attr, val)
 
 
+def _check_ranges(args) -> None:
+    if args.l < 1:
+        raise ValueError("--l must be at least 1")
+    if args.max_weight < 0:
+        raise ValueError("--max-weight must be nonnegative")
+    if args.margin <= 0:
+        raise ValueError("--margin must be positive")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
@@ -453,8 +474,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, argv)
+        _check_ranges(args)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError, AssertionError) as exc:
+        # RuntimeError and AssertionError are failed internal consistency
+        # checks of the engine
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

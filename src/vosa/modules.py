@@ -27,7 +27,7 @@ from .fock import (
     weight,
 )
 from .fields import Virasoro, mode, state_parity
-from .zhu import TwistContext, ZhuAlgebra, _mono_state
+from .zhu import TwistContext, ZhuAlgebra, _mono_state, stabilized
 
 HALF = Fraction(1, 2)
 
@@ -234,11 +234,7 @@ def _combine(mats, coords, n):
 def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1),
                   depth: int = 1, omega_degree=Fraction(1)) -> dict:
     """Full certification: stabilized upper bound against zero-mode rank."""
-    from .zhu import ZhuAlgebra
-
-    alg = ZhuAlgebra(ctx, max_weight, margin, depth)
-    alg2 = ZhuAlgebra(ctx, Fraction(max_weight) + HALF, margin, depth)
-    stable = alg.dim == alg2.dim and alg.basis == alg2.basis
+    alg, _, stable = stabilized(ctx, max_weight, margin, depth)
     space = twisted_module(ctx)
     om = OmegaSpace(space, omega_degree)
     lower = zhu_rank(alg, [om])
@@ -316,12 +312,8 @@ class ParitySubmodule:
         om = OmegaSpace(self.space, max_degree)
         out = []
         for v in om.basis:
-            # project the ambient kernel onto this half
-            half: State = {}
-            vec_iadd(half, v, HALF)
-            ev = self.space.apply_gen_state(self.egid, Fraction(0), v)
-            vec_iadd(half, ev, HALF * (1 if self.sign > 0 else -1))
-            # the parity rule makes the projector sign length-dependent
+            # project the ambient kernel onto this half; the parity rule
+            # makes the projector sign length-dependent
             proj: State = {}
             for m, c in v.items():
                 s = self.sign if parity(m) == 0 else -self.sign

@@ -158,18 +158,28 @@ def o_relations(ctx: TwistContext, w_ambient, depth: int = 1,
                 w_skip=Fraction(-1)):
     """Generate members of O_g supported inside weight <= w_ambient.
 
-    Yields circ products and the (m, n) reduction-family vectors up to
-    the given extra depth, plus the twist-odd monomials, which lie in
-    O_g outright.  Every vector is complete (never truncated), so the
-    span is a genuine subspace of O_g.  Vectors whose top weight is at
-    most w_skip are omitted (they were generated by an earlier pass).
+    Yields the (m, n) reduction-family vectors up to the given extra
+    depth (circ products are (0, 0)), plus the twist-odd monomials, which
+    lie in O_g outright.  Relations are generator-first: the first
+    argument u runs over the single-factor monomials (generator modes of
+    any weight) and only v runs over the whole basis, because the classes
+    of the strong generators generate A_g(V) and O_g is reached through
+    relations whose first argument is a generator.  This is sound without
+    that theorem: any subset of O_g gives an upper bound that the
+    certification squeeze still has to meet, and reducing modulo a
+    sub-span either returns the true class or raises because the class
+    escapes the truncation.
+
+    Every vector is complete (never truncated), so the span is a genuine
+    subspace of O_g.  Vectors whose top weight is at most w_skip are
+    omitted (they were generated by an earlier pass).
     """
     basis = ctx.sector.basis(w_ambient)
     for mono in basis:
         if mono and ctx.rstar(mono) != 0 and weight(mono) > w_skip:
             yield _mono_state(mono)
     for u in basis:
-        if not u:
+        if len(u) != 1:
             continue
         wu = weight(u)
         du = ctx.delta(u)
@@ -193,7 +203,7 @@ class ZhuAlgebra:
     """
 
     def __init__(self, ctx: TwistContext, max_weight, margin=Fraction(1),
-                 depth: int = 1):
+                 depth: int = 1, *, _below: ZhuAlgebra | None = None):
         self.ctx = ctx
         self.max_weight = Fraction(max_weight)
         self.margin = Fraction(margin)
@@ -201,6 +211,12 @@ class ZhuAlgebra:
         w_amb = self.max_weight + self.margin
         self.ech = Echelon()
         self._covered = Fraction(-1)
+        if _below is not None:
+            # stabilized(): start from a freshly built lower cutoff of the
+            # same context; echelon rows are never mutated once stored,
+            # so the two algebras can share them
+            self.ech.pivots = dict(_below.ech.pivots)
+            self._covered = _below._covered
         self._extend(w_amb)
         ambient = ctx.sector.basis(w_amb)
         free = [m for m in ambient if graded_key(m) not in self.ech.pivots]
@@ -282,11 +298,16 @@ class ZhuAlgebra:
 
 def stabilized(ctx: TwistContext, max_weight, margin=Fraction(1),
                depth: int = 1):
-    """Build the algebra at two consecutive cutoffs and insist they agree."""
+    """Build the algebra at two consecutive cutoffs and insist they agree.
+
+    The second cutoff, max_weight + 1/2, grows the first one's echelon by
+    only the relations whose top weight lies in the new half-weight band.
+    Its row space, and so its pivot keys, basis and reductions, are those
+    of a from-scratch build at that cutoff.
+    """
     a = ZhuAlgebra(ctx, max_weight, margin, depth)
-    b = ZhuAlgebra(ctx, Fraction(max_weight) + HALF, margin, depth)
-    ok = a.dim == b.dim and a.basis == b.basis
-    return a, b, ok
+    b = ZhuAlgebra(ctx, a.max_weight + HALF, margin, depth, _below=a)
+    return a, b, a.basis == b.basis
 
 
 def _mult_coords(alg: ZhuAlgebra, a: dict, b: dict) -> dict:

@@ -2,6 +2,8 @@
 
 Everything here is implemented from first principles, without using the
 package's recursion or echelon machinery, so agreement is meaningful.
+The one exception is full_pairs_relations, the plain relation generator
+that the package's generator-first one is checked against.
 """
 
 from fractions import Fraction
@@ -76,3 +78,31 @@ def pascal_holds(binom, alpha: Fraction, s: int) -> bool:
 
 def integer_binomial(n: int, k: int) -> int:
     return comb(n, k)
+
+
+def full_pairs_relations(ctx, w_ambient, depth: int = 1,
+                         w_skip=Fraction(-1)):
+    """The unpruned relation generator: reduction-family vectors for
+    every pair (u, v) of basis monomials, not only generator-first ones.
+
+    Same signature and order as vosa.zhu.o_relations, so it can stand in
+    for it in a ZhuAlgebra build.
+    """
+    from vosa.fock import weight
+
+    basis = ctx.sector.basis(w_ambient)
+    for mono in basis:
+        if mono and ctx.rstar(mono) != 0 and weight(mono) > w_skip:
+            yield {mono: Fraction(1)}
+    for u in basis:
+        if not u:
+            continue
+        wu = weight(u)
+        du = ctx.delta(u)
+        for v in basis:
+            top = wu + weight(v) + du
+            for m in range(depth + 1):
+                for n in range(m + 1):
+                    if w_skip < top + m <= w_ambient:
+                        yield ctx.reduction_family(
+                            {u: Fraction(1)}, {v: Fraction(1)}, m, n)

@@ -124,3 +124,67 @@ def test_table_format(tmp_path):
           "--format", "table", "--output", str(out)])
     text = out.read_text()
     assert "graded_dims" in text and "schema" not in json.dumps({})
+
+
+def _zhu_stdout(capsys, *argv):
+    code = main(["zhu", *argv])
+    return code, capsys.readouterr().out
+
+
+def test_plain_zhu_same_exit_code_cold_and_warm(tmp_path, capsys):
+    args = ["--l", "1", "--twist", "sigma", "--max-weight", "2",
+            "--cache-dir", str(tmp_path / "cache")]
+    cold = _zhu_stdout(capsys, *args)
+    warm = _zhu_stdout(capsys, *args)
+    assert cold == warm
+    assert cold[0] == EXIT_OK
+
+
+def test_uncertified_exit_code_cold_and_warm(tmp_path, capsys):
+    args = ["--l", "2", "--twist", "sigma", "--max-weight", "0",
+            "--certify", "--cache-dir", str(tmp_path / "cache")]
+    cold = _zhu_stdout(capsys, *args)
+    warm = _zhu_stdout(capsys, *args)
+    assert cold == warm
+    assert cold[0] == EXIT_UNCERTIFIED
+
+
+@pytest.mark.parametrize("damage", ["truncate", "schema"])
+def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, damage):
+    cache = tmp_path / "cache"
+    args = ["--l", "1", "--twist", "sigma", "--max-weight", "2",
+            "--cache-dir", str(cache)]
+    cold = _zhu_stdout(capsys, *args)
+    (entry,) = cache.glob("*.json")
+    text = entry.read_text()
+    if damage == "truncate":
+        entry.write_text(text[:len(text) // 2])
+    else:
+        entry.write_text(text.replace(SCHEMA, "vosa-zhu/0"))
+    assert _zhu_stdout(capsys, *args) == cold
+    # the entry was recomputed and rewritten whole
+    assert json.loads(entry.read_text())["schema"] == SCHEMA
+    assert _zhu_stdout(capsys, *args) == cold
+
+
+@pytest.mark.parametrize("flags", [["--l", "0"], ["--max-weight", "-1"],
+                                   ["--margin", "0"]],
+                         ids=["l", "max-weight", "margin"])
+def test_out_of_range_input_rejected(capsys, flags):
+    assert main(["zhu", *flags]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+def test_engine_failure_is_a_clean_error(tmp_path, capsys, monkeypatch,
+                                         exc):
+    import vosa.zhu
+
+    def fail(alg):
+        raise exc("no separating central element found")
+
+    monkeypatch.setattr(vosa.zhu, "block_profile", fail)
+    assert main(["zhu", "--l", "1", "--max-weight", "2"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: no separating central element found\n"
