@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable
-
-Scalar = Fraction
-SparseVector = dict
+from typing import Hashable
 
 
 def gen_binomial(alpha, s: int) -> Fraction:
@@ -40,12 +37,6 @@ def vec_iadd(dst: dict, src: dict, c: Fraction = Fraction(1)) -> dict:
         else:
             dst.pop(k, None)
     return dst
-
-
-def vec_scale(v: dict, c: Fraction) -> dict:
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
 
 
 def _to_int_row(v: dict) -> dict:
@@ -112,10 +103,6 @@ class Echelon:
         self.pivots[max(row)] = row
         return True
 
-    def add_all(self, vecs: Iterable[dict]) -> None:
-        for v in vecs:
-            self.add(v)
-
     def reduce(self, vec: dict) -> dict:
         """Canonical representative of vec modulo the row space.
 
@@ -143,22 +130,6 @@ class Echelon:
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
-
-    def quotient_basis(self, ambient_keys: Iterable[Hashable]) -> list:
-        """Keys of the ambient basis that are not pivot keys, sorted."""
-        return sorted(k for k in ambient_keys if k not in self.pivots)
-
-
-def rank_and_basis(rows: list[dict], ambient_keys: Iterable[Hashable] = ()):
-    """Exact rank of a list of sparse rows plus the quotient complement basis.
-
-    Returns ``(rank, quotient_basis)`` where the quotient basis is the set
-    of ambient keys that carry no pivot, i.e. a monomial basis of
-    span(ambient)/span(rows).
-    """
-    ech = Echelon()
-    ech.add_all(rows)
-    return ech.rank, ech.quotient_basis(ambient_keys)
 
 
 def nullspace(images: list[dict]) -> list[dict]:

@@ -131,11 +131,6 @@ def mode(space, u: State, n, w: State, check_index: bool = True) -> State:
     return out
 
 
-def product_mode(sector, u: State, i, v: State) -> State:
-    """u_i v inside the algebra itself (both arguments in its Fock space)."""
-    return mode(sector, u, i, v)
-
-
 def gram_inverse(sector):
     """Inverse of the generator Gram matrix, as a dense Fraction grid."""
     n = len(sector.gids)
@@ -175,7 +170,7 @@ class Virasoro:
         return mode(space, self.omega, Fraction(m) + 1, w)
 
     def central_charge(self) -> Fraction:
-        quad = product_mode(self.sector, self.omega, 3, self.omega)
+        quad = mode(self.sector, self.omega, 3, self.omega)
         return 2 * quad.get((), Fraction(0))
 
 
@@ -205,7 +200,7 @@ def verify_commutator(space, u: State, v: State, samples) -> dict:
                  Fraction(-sgn))
         i = 0
         while i <= wu + wv - 1:
-            uiv = product_mode(alg, u, i, v)
+            uiv = mode(alg, u, i, v)
             if uiv:
                 c = gen_binomial(m, i)
                 if c:
@@ -271,7 +266,7 @@ def verify_associativity(space, a: State, u: State, w: State, kappa,
             while i <= A + wa + wu:
                 c0 = gen_binomial(kappa, i)
                 if c0:
-                    prod = product_mode(alg, a, i - A - 1, u)
+                    prod = mode(alg, a, i - A - 1, u)
                     if prod:
                         vec_iadd(rhs,
                                  mode(space, prod, kappa - B - 1 - i, w,
@@ -310,10 +305,10 @@ def verify_skew_symmetry(sector, omega: State, u: State, v: State) -> dict:
     n = int(wu + wv)  # products vanish above wu + wv - 1
     lo = -int(wu + wv) - 2
     for n in range(lo, n + 1):
-        lhs = product_mode(sector, u, n, v)
+        lhs = mode(sector, u, n, v)
         j = 0
         while j <= wu + wv - n - 1:
-            vju = product_mode(sector, v, n + j, u)
+            vju = mode(sector, v, n + j, u)
             if vju:
                 for _ in range(j):
                     vju = mode(sector, omega, 0, vju)

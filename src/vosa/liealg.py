@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import gen_binomial, vec_iadd
 from .fock import State, state_weight
-from .fields import mode, mode_offset, product_mode, state_parity
+from .fields import mode, mode_offset, state_parity
 
 # a symbol combination is a dict {(index, mono): Fraction}; each key is
 # one basis mode symbol (monomial, index), grouped sparsely
@@ -59,8 +59,8 @@ def bracket(sector, x: dict, y: dict) -> dict:
             while i <= top:
                 c = gen_binomial(q, i)
                 if c:
-                    prod = product_mode(sector, {am: Fraction(1)}, i,
-                                        {bm: Fraction(1)})
+                    prod = mode(sector, {am: Fraction(1)}, i,
+                                {bm: Fraction(1)})
                     for m2, c2 in prod.items():
                         vec_iadd(out, {(q + p - i, m2): ca * cb * c * c2})
                 i += 1

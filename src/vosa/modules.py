@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .exact import Echelon, gen_binomial, nullspace, solve_in_span, vec_iadd
 from .fock import (
-    Monomial,
     Sector,
     State,
     ZERO_ANNIHILATE,
@@ -422,7 +421,7 @@ class Contragredient:
         return {"ok": True, "checked": checked, "skipped": skipped}
 
 
-class InducedSpace:
+class InducedSpace(Sector):
     """Truncated Verma-type module over a certified Zhu algebra module.
 
     Basis elements are (symbol-monomial, j): an exterior monomial in the
@@ -432,24 +431,22 @@ class InducedSpace:
     the Clifford pairing and annihilate U.  The mode recursion then
     gives the action of every state; the quotient relations hold because
     the zero modes already satisfy the quotient algebra's multiplication.
+    The raising symbols are the Sector's creation modes under the default
+    zero-mode policy, which puts every zero mode on the annihilation side.
     """
 
     def __init__(self, alg: ZhuAlgebra, umats: dict, udim: int, max_degree):
         ctx = alg.ctx
         sector = ctx.sector
+        super().__init__(sector.labels, sector.pairing,
+                         {g: ctx.module_support(g) for g in sector.gids},
+                         algebra=sector)
         self.alg = alg
         self.udim = udim
         self.max_degree = Fraction(max_degree)
-        self.labels = sector.labels
-        self.gids = sector.gids
-        self.pairing = sector.pairing
-        self.support = {g: ctx.module_support(g) for g in sector.gids}
-        self.embed = {g: [(g, Fraction(1))] for g in sector.gids}
-        self.algebra = sector
-        self.vstate = {g: {((-HALF, g),): Fraction(1)} for g in sector.gids}
         # matrix of each generator's class, for the zero-mode action
         self._zmat = {}
-        for g in sector.gids:
+        for g in self.gids:
             if self.support[g] == 0:
                 coords = alg.reduce({((-HALF, g),): Fraction(1)})
                 mat = [[Fraction(0)] * udim for _ in range(udim)]
@@ -459,96 +456,25 @@ class InducedSpace:
                             mat[x][y] += c * umats[i][x][y]
                 self._zmat[g] = mat
 
-    # -- sector protocol -------------------------------------------------
-    def pair(self, i, j):
-        return self.pairing.get((i, j), Fraction(0))
-
-    def charge(self, gid):
-        return (self.support[gid] + HALF) % 1
-
     def degree(self, el):
         return weight(el[0])
 
-    def left_modes(self, gid, lo):
-        q = self.charge(gid) - HALF
-        out = []
-        while q >= lo:
-            out.append(q)
-            q -= 1
-        return out
-
     def ann_modes(self, gid, el):
-        return sorted({-mu for mu, h in el[0]
-                       if mu < 0 and self.pair(gid, h)})
-
-    def _symbol_modes(self, gid):
-        q = -1 if self.support[gid] == 0 else -HALF
-        return q  # largest raising symbol mode
+        return super().ann_modes(gid, el[0])
 
     def apply_gen(self, gid, q, el) -> State:
         mono, j = el
-        out: State = {}
-        if q < 0:
-            m2, s = normalize(((q, gid),) + mono)
-            if s:
-                out[(m2, j)] = Fraction(s)
-        elif q == 0:
+        if q == 0:
             sign = -1 if parity(mono) else 1
-            mat = self._zmat[gid]
-            for x in range(self.udim):
-                c = mat[x][j]
-                if c:
-                    out[(mono, x)] = Fraction(sign) * c
-        else:
-            sign = 1
-            for i, (mu, h) in enumerate(mono):
-                if mu == -q:
-                    c = self.pair(gid, h)
-                    if c:
-                        rest = mono[:i] + mono[i + 1:]
-                        vec_iadd(out, {(rest, j): Fraction(sign) * c})
-                sign = -sign
-        return out
-
-    def apply_gen_state(self, gid, q, st: State) -> State:
-        out: State = {}
-        for el, c in st.items():
-            vec_iadd(out, self.apply_gen(gid, q, el), c)
-        return out
+            return {(mono, x): sign * row[j]
+                    for x, row in enumerate(self._zmat[gid]) if row[j]}
+        part = (self._create(gid, q, mono) if q < 0
+                else self._contract(gid, q, mono))
+        return {(m, j): c for m, c in part.items()}
 
     def basis(self, max_degree) -> list:
-        max_degree = Fraction(max_degree)
-        factors = []
-        for g in self.gids:
-            q = self._symbol_modes(g)
-            while q >= -max_degree:
-                factors.append((q, g))
-                q -= 1
-        factors.sort()
-        monos = []
-
-        def grow(start, acc, w):
-            monos.append(tuple(acc))
-            for i in range(start, len(factors)):
-                dw = -factors[i][0]
-                if w + dw <= max_degree:
-                    acc.append(factors[i])
-                    grow(i + 1, acc, w + dw)
-                    acc.pop()
-
-        grow(0, [], Fraction(0))
-        monos.sort(key=lambda m: (weight(m), m))
-        return [(m, j) for m in monos for j in range(self.udim)]
-
-    def basis_by_degree(self, max_degree) -> dict:
-        by: dict = {}
-        for el in self.basis(max_degree):
-            by.setdefault(weight(el[0]), []).append(el)
-        return by
-
-    def graded_dims(self, max_degree) -> dict:
-        return {d: len(els)
-                for d, els in self.basis_by_degree(max_degree).items()}
+        return [(m, j) for m in super().basis(max_degree)
+                for j in range(self.udim)]
 
 
 def regular_umats(alg: ZhuAlgebra) -> tuple:

@@ -23,10 +23,9 @@ from .fock import (
     State,
     graded_key,
     ns_polarized,
-    state_weight,
     weight,
 )
-from .fields import product_mode
+from .fields import mode
 
 HALF = Fraction(1, 2)
 
@@ -85,7 +84,7 @@ class TwistContext:
         while s - 1 - d <= wu + wv - 1:
             c = gen_binomial(alpha, s)
             if c:
-                vec_iadd(out, product_mode(self.sector, u, s - 1 - d, v), c)
+                vec_iadd(out, mode(self.sector, u, s - 1 - d, v), c)
             s += 1
         return out
 
@@ -100,7 +99,7 @@ class TwistContext:
         while i - 1 <= wu + wv - 1:
             c = gen_binomial(wu, i)
             if c:
-                vec_iadd(out, product_mode(self.sector, u, i - 1, v), c)
+                vec_iadd(out, mode(self.sector, u, i - 1, v), c)
             i += 1
         return out
 
@@ -117,8 +116,7 @@ class TwistContext:
         while s - m - d - 1 <= wu + wv - 1:
             c = gen_binomial(alpha, s)
             if c:
-                vec_iadd(out,
-                         product_mode(self.sector, u, s - m - d - 1, v), c)
+                vec_iadd(out, mode(self.sector, u, s - m - d - 1, v), c)
             s += 1
         return out
 

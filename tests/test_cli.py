@@ -149,6 +149,53 @@ def test_uncertified_exit_code_cold_and_warm(tmp_path, capsys):
     assert cold[0] == EXIT_UNCERTIFIED
 
 
+@pytest.mark.parametrize("argv, code, dim, dim_lower", [
+    (["--l", "3", "--max-weight", "1", "--certify"], EXIT_UNCERTIFIED, 7, 7),
+    (["--l", "2", "--max-weight", "1/2", "--certify"], EXIT_UNCERTIFIED,
+     3, 3),
+    (["--l", "3", "--max-weight", "1"], EXIT_OK, 7, None),
+], ids=["sigma3-certify", "sigma2-certify", "sigma3-plain"])
+def test_truncation_without_blocks_is_reported(tmp_path, capsys, argv, code,
+                                               dim, dim_lower):
+    # a class escapes these truncations, so there is no block profile;
+    # the run still reports its dimensions with the documented exit code
+    args = [*argv, "--cache-dir", str(tmp_path / "cache")]
+    cold = _zhu_stdout(capsys, *args)
+    warm = _zhu_stdout(capsys, *args)
+    assert cold == warm
+    assert cold[0] == code
+    data = json.loads(cold[1])
+    assert data["dim"] == dim and data.get("dim_lower") == dim_lower
+    assert data["certified"] is False
+    assert [data["blocks"], data["center_dim"], data["radical_dim"]] == \
+        [None, None, None]
+
+
+def test_plain_zhu_reports_blocks(tmp_path):
+    code, data = run(tmp_path, "zhu", "--l", "3")
+    assert code == EXIT_OK
+    assert data["dim"] == 8 and data["blocks"] == [2, 2]
+
+
+def test_certified_profile_failure_is_an_error(capsys, monkeypatch):
+    import vosa.zhu
+
+    def fail(alg):
+        raise ValueError("class escapes the truncation")
+
+    monkeypatch.setattr(vosa.zhu, "block_profile", fail)
+    assert main(["zhu", "--l", "1", "--max-weight", "2",
+                 "--certify"]) == EXIT_ERROR
+    assert capsys.readouterr().err == \
+        "error: class escapes the truncation\n"
+
+
+def test_negative_depth_rejected(capsys):
+    assert main(["induce", "--depth=-1"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: --depth") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("damage", ["truncate", "schema"])
 def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, damage):
     cache = tmp_path / "cache"

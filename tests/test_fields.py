@@ -6,7 +6,7 @@ import pytest
 
 from vosa.fock import ns_orthonormal, ns_polarized
 from vosa.fields import (Virasoro, min_assoc_exponent, mode, mode_offset,
-                         product_mode, twist_correction, verify_associativity,
+                         twist_correction, verify_associativity,
                          verify_commutator, verify_skew_symmetry,
                          verify_translation)
 from vosa.zhu import ctx_sigma, ctx_tau
@@ -36,16 +36,16 @@ def test_vacuum_modes_are_delta():
 def test_generator_pairing_mode():
     sec = ns_orthonormal(1)
     # a_0 a = (a, a) vacuum
-    assert product_mode(sec, gen(0), 0, gen(0)) == vac()
-    assert product_mode(sec, gen(0), 1, gen(0)) == {}
-    assert product_mode(sec, gen(0), -1, gen(0)) == {}
+    assert mode(sec, gen(0), 0, gen(0)) == vac()
+    assert mode(sec, gen(0), 1, gen(0)) == {}
+    assert mode(sec, gen(0), -1, gen(0)) == {}
 
 
 def test_quadratic_state_example():
     sec = ns_orthonormal(1)
     # a_{-2} a = a(-3/2)a(-1/2)|0>
     expect = {((-Fraction(3, 2), 0), (-H, 0)): ONE}
-    assert product_mode(sec, gen(0), -2, gen(0)) == expect
+    assert mode(sec, gen(0), -2, gen(0)) == expect
 
 
 def test_omega_products_frozen():
@@ -54,13 +54,13 @@ def test_omega_products_frozen():
     quad = ((-Fraction(3, 2), 0), (-H, 0))
     assert vir.omega == {quad: H}
     # L(0) omega = 2 omega
-    assert product_mode(sec, vir.omega, 1, vir.omega) == {quad: ONE}
+    assert mode(sec, vir.omega, 1, vir.omega) == {quad: ONE}
     # L(-1) omega
-    assert product_mode(sec, vir.omega, 0, vir.omega) == {
+    assert mode(sec, vir.omega, 0, vir.omega) == {
         ((-Fraction(5, 2), 0), (-H, 0)): ONE
     }
     # central term: omega_3 omega = c/2 with c = 1/2
-    assert product_mode(sec, vir.omega, 3, vir.omega) == {(): Fraction(1, 4)}
+    assert mode(sec, vir.omega, 3, vir.omega) == {(): Fraction(1, 4)}
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -93,7 +93,7 @@ def test_quadratic_field_half_pairing_correction():
     # b(0)B(0) - 1/2 = (b,B) - 1/2 = 1/2
     ctx = ctx_sigma(2)
     M = twisted_module(ctx)
-    bB = product_mode(ctx.sector, gen(0), -1, gen(1))
+    bB = mode(ctx.sector, gen(0), -1, gen(1))
     out = mode(M, bB, 0, vac(), check_index=False)
     assert out == {(): H}
 

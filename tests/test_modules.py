@@ -12,6 +12,8 @@ from vosa.modules import (Contragredient, InducedSpace, OmegaSpace,
                           twisted_module, zhu_action_report, zhu_rank)
 from vosa.zhu import ZhuAlgebra, ctx_identity, ctx_sigma, ctx_tau
 
+from oracles import graded_dim_oracle
+
 H = Fraction(1, 2)
 ONE = Fraction(1)
 
@@ -251,16 +253,56 @@ def test_induction_from_regular_module():
 
 
 def test_induced_space_commutator_identity():
-    from vosa.fields import verify_commutator
+    from vosa.fields import mode_offset, verify_commutator
 
-    ctx = ctx_sigma(2)
-    rep = certified_zhu(ctx, Fraction(5, 2))
+    # sigma2 has integer supports only; tau mixes integer and half-integer
+    for ctx in (ctx_sigma(2), ctx_tau()):
+        rep = certified_zhu(ctx, Fraction(5, 2))
+        umats, udim = omega_umats(rep["algebra"], rep["omega"])
+        space = InducedSpace(rep["algebra"], umats, udim, Fraction(2))
+        targets = [{el: ONE} for el in space.basis(Fraction(1))]
+        ou, ov = (mode_offset(space, ((-H, g),)) for g in (0, 1))
+        samples = [(m, n, w) for m in (ou - 1, ou, ou + 1)
+                   for n in (ov - 1, ov) for w in targets[:4]]
+        assert verify_commutator(space, gen(0), gen(1), samples)["ok"]
+        vir = Virasoro(ctx.sector)
+        ints = [(m, n, w) for m in (0, 1) for n in (-1, 0)
+                for w in targets[:4]]
+        assert verify_commutator(space, vir.omega, vir.omega, ints)["ok"]
+
+
+@pytest.mark.parametrize("seed", ["omega", "regular"])
+@pytest.mark.parametrize("name", ["sigma1", "sigma2", "sigma3", "tau"])
+def test_induced_graded_dims_match_oracle(name, seed):
+    # udim copies of an exterior algebra whose lightest raising symbol
+    # has weight 1 on integer support and 1/2 on half-integer support
+    ctx = ctx_tau() if name == "tau" else ctx_sigma(int(name[-1]))
+    rep = certified_zhu(ctx, Fraction(2))
+    alg = rep["algebra"]
+    umats, udim = (omega_umats(alg, rep["omega"]) if seed == "omega"
+                   else regular_umats(alg))
+    depth = Fraction(2)
+    res = induce_truncated(alg, umats, udim, depth)
+    offsets = [ONE if ctx.module_support(g) == 0 else H
+               for g in ctx.sector.gids]
+    oracle = graded_dim_oracle(len(offsets), offsets, depth)
+    assert res["graded_dims"] == {d: udim * n for d, n in oracle.items()}
+    assert res["omega_is_seed"]
+
+
+def test_induction_under_an_order_four_twist():
+    # g = i on b and -i on B puts the module modes on Z + 3/4 and Z + 1/4,
+    # off the half-integer grid; induction from the one-dimensional
+    # Zhu algebra must still rebuild the twisted module
+    from vosa.fock import ns_polarized
+    from vosa.zhu import TwistContext
+
+    ctx = TwistContext("order4", ns_polarized(2), 4, 4, {0: 1, 1: 3},
+                       {0: 3, 1: 1})
+    rep = certified_zhu(ctx, Fraction(2))
+    assert rep["certified"] and rep["dim_upper"] == 1
     umats, udim = omega_umats(rep["algebra"], rep["omega"])
-    space = InducedSpace(rep["algebra"], umats, udim, Fraction(2))
-    targets = [{el: ONE} for el in space.basis(Fraction(1))]
-    samples = [(m, n, w) for m in (-H, H, Fraction(3, 2)) for n in (-H, H)
-               for w in targets[:4]]
-    assert verify_commutator(space, gen(0), gen(1), samples)["ok"]
-    vir = Virasoro(ctx.sector)
-    ints = [(m, n, w) for m in (0, 1) for n in (-1, 0) for w in targets[:4]]
-    assert verify_commutator(space, vir.omega, vir.omega, ints)["ok"]
+    res = induce_truncated(rep["algebra"], umats, udim, Fraction(2))
+    assert res["graded_dims"] == twisted_module(ctx).graded_dims(Fraction(2))
+    assert Fraction(1, 4) in res["graded_dims"]
+    assert res["omega_is_seed"]
