@@ -28,7 +28,10 @@ EXIT_UNCERTIFIED = 2
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _context(args):
@@ -433,24 +436,55 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args, argv) -> None:
-    """Config file supplies defaults; explicit flags win."""
+def _apply_config(args, argv, parser) -> None:
+    """Config file supplies defaults; explicit flags win.
+
+    The file holds one JSON object keyed by flag name.  Each value is
+    checked as the flag's command-line value would be, by the flag's
+    type and choices; a switch takes true or false, an integer flag a
+    JSON integer.  Keys that name no flag of the command are ignored.
+    """
     if not getattr(args, "config", None):
         return
     with open(args.config) as f:
         conf = json.load(f)
+    if not isinstance(conf, dict):
+        raise ValueError(f"{args.config}: a config file holds a JSON object")
     # flags given on the command line take precedence over the file
     given = set()
     for tok in argv:
         if tok.startswith("--"):
             given.add(tok.split("=")[0][2:].replace("-", "_"))
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     for key, val in conf.items():
         attr = key.replace("-", "_")
-        if attr in given or not hasattr(args, attr):
+        if attr in given or attr not in actions:
             continue
-        if attr in ("max_weight", "margin", "depth"):
-            val = Fraction(str(val))
-        setattr(args, attr, val)
+        setattr(args, attr,
+                _config_value(actions[attr], val, f"{args.config}: {key}"))
+
+
+def _config_value(action, val, where: str):
+    """A config value through its flag's type and choices."""
+    bad = ValueError(f"{where}: invalid value {json.dumps(val)}")
+    if action.nargs == 0:  # a switch such as --certify
+        if not isinstance(val, bool):
+            raise bad
+        return val
+    if (isinstance(val, bool) or not isinstance(val, (int, float, str))
+            or (action.type is int and not isinstance(val, int))
+            or (action.type is None and not isinstance(val, str))):
+        raise bad
+    try:
+        value = action.type(str(val)) if action.type else val
+    except ValueError:
+        raise bad from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{where}: invalid choice {json.dumps(val)} "
+                         f"(choose from {', '.join(action.choices)})")
+    return value
 
 
 def _check_ranges(args) -> None:
@@ -470,7 +504,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _apply_config(args, argv, parser)
         _check_ranges(args)
         return args.func(args)
     except (ValueError, OSError, RuntimeError, AssertionError) as exc:

@@ -2,8 +2,10 @@
 
 Everything here is implemented from first principles, without using the
 package's recursion or echelon machinery, so agreement is meaningful.
-The one exception is full_pairs_relations, the plain relation generator
-that the package's generator-first one is checked against.
+The two exceptions are the plain computations that the package's pruned
+ones are checked against: full_pairs_relations, the relation generator
+over all pairs, and omega_joint_kernel, the lowest-weight space cut out
+by the generator and the Virasoro modes together.
 """
 
 from fractions import Fraction
@@ -106,3 +108,33 @@ def full_pairs_relations(ctx, w_ambient, depth: int = 1,
                     if w_skip < top + m <= w_ambient:
                         yield ctx.reduction_family(
                             {u: Fraction(1)}, {v: Fraction(1)}, m, n)
+
+
+def omega_joint_kernel(space, d):
+    """Degree-d kernel of the generator lowering modes and of L(m) for
+    1 <= m <= d, solved as one linear system; a list of states.
+
+    OmegaSpace solves for the generator modes alone and only checks the
+    Virasoro modes on the result, so the two must span the same space.
+    """
+    from vosa.exact import nullspace, vec_iadd
+    from vosa.fields import Virasoro
+    from vosa.modules import lowering_mode_labels
+
+    d = Fraction(d)
+    virasoro = Virasoro(space.algebra)
+    monos = space.basis_by_degree(d).get(d, [])
+    images = []
+    for m in monos:
+        img: dict = {}
+        for g in space.gids:
+            for q in lowering_mode_labels(space, g, d):
+                for m2, c in space.apply_gen(g, q, m).items():
+                    vec_iadd(img, {("a", g, q, m2): c})
+        lm = 1
+        while lm <= d:
+            for m2, c in virasoro.L(space, lm, {m: Fraction(1)}).items():
+                vec_iadd(img, {("L", lm, m2): c})
+            lm += 1
+        images.append(img)
+    return [{monos[j]: c for j, c in ker.items()} for ker in nullspace(images)]

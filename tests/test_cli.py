@@ -46,6 +46,18 @@ def test_verify_suites_pass(tmp_path, suite):
     assert data["ok"]
 
 
+@pytest.mark.parametrize("argv,pairs", [
+    (["--l", "1"], 0), (["--l", "2"], 2), (["--l", "3"], 8),
+    (["--twist", "tau"], 9)])
+def test_omega_suite_checks_every_ideal_pair(tmp_path, argv, pairs):
+    # every v of weight <= 1 with a homogeneous u circ v, not only the
+    # first one for each u
+    code, data = run(tmp_path, "verify", "--suite", "omega", *argv,
+                     "--max-weight", "5/2")
+    assert code == EXIT_OK and data["ok"]
+    assert data["details"]["action"]["ideal_samples"] == pairs
+
+
 def test_basis_graded_dims(tmp_path):
     code, data = run(tmp_path, "basis", "--l", "2", "--twist", "id",
                      "--max-weight", "2")
@@ -116,6 +128,33 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
     code, data = run(tmp_path, "zhu", "--config", str(conf), "--l", "1",
                      "--certify")
     assert code == EXIT_OK and data["l"] == 1 and data["dim"] == 2
+
+
+@pytest.mark.parametrize("command,conf", [
+    ("zhu", {"l": "3"}),
+    ("zhu", {"l": 2.5}),
+    ("zhu", [1, 2]),
+    ("induce", {"seed": "bogus"}),
+    ("basis", {"format": "xml"}),
+    ("zhu", {"max-weight": "1/0"}),
+    ("zhu", {"certify": 1}),
+], ids=["string-int", "float-int", "not-an-object", "seed-choice",
+        "format-choice", "zero-denominator", "switch"])
+def test_bad_config_value_is_an_error(tmp_path, capsys, command, conf):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    assert main([command, "--config", str(path)]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_values_take_flag_types(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"l": 2, "max-weight": 2.5, "certify": True,
+                                "format": "json", "seed": "regular"}))
+    code, data = run(tmp_path, "zhu", "--config", str(conf))
+    assert code == EXIT_OK and data["dim"] == 4 and data["certified"]
 
 
 def test_table_format(tmp_path):

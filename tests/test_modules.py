@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from vosa.exact import Echelon
 from vosa.fields import Virasoro
 from vosa.fock import ZERO_ANNIHILATE, ZERO_CREATE, ZERO_SPLIT
 from vosa.modules import (Contragredient, InducedSpace, OmegaSpace,
@@ -12,7 +13,7 @@ from vosa.modules import (Contragredient, InducedSpace, OmegaSpace,
                           twisted_module, zhu_action_report, zhu_rank)
 from vosa.zhu import ZhuAlgebra, ctx_identity, ctx_sigma, ctx_tau
 
-from oracles import graded_dim_oracle
+from oracles import graded_dim_oracle, omega_joint_kernel
 
 H = Fraction(1, 2)
 ONE = Fraction(1)
@@ -89,6 +90,66 @@ def test_tau_omega():
     om = OmegaSpace(twisted_module(ctx_tau()), Fraction(1))
     assert om.dim == 2
     assert all(d == 0 for d in om.degrees())
+
+
+def _same_span(a, b) -> bool:
+    ea, eb = Echelon(), Echelon()
+    return (all(ea.add(v) for v in a) and all(eb.add(v) for v in b)
+            and ea.pivots.keys() == eb.pivots.keys()
+            and all(ea.contains(v) for v in b)
+            and all(eb.contains(v) for v in a))
+
+
+def _assert_omega_is_joint_kernel(space, depth):
+    # the generator-only kernel spans, degree by degree, what the
+    # generator and Virasoro modes cut out together
+    got: dict = {}
+    for v in OmegaSpace(space, depth).basis:
+        got.setdefault(space.degree(next(iter(v))), []).append(v)
+    for d in sorted(space.basis_by_degree(depth)):
+        want = omega_joint_kernel(space, d)
+        have = got.pop(d, [])
+        assert len(have) == len(want), d
+        assert _same_span(have, want), d
+    assert not got
+
+
+def _context_named(name):
+    if name == "tau":
+        return ctx_tau()
+    make = ctx_identity if name.startswith("id") else ctx_sigma
+    return make(int(name[-1]))
+
+
+@pytest.mark.parametrize("name,depth", [
+    ("sigma1", 3), ("sigma2", 3), ("sigma3", 3), ("sigma4", 2),
+    ("id1", 3), ("id2", 3), ("id3", 3), ("tau", 3)])
+def test_omega_matches_joint_kernel_on_twisted_modules(name, depth):
+    _assert_omega_is_joint_kernel(twisted_module(_context_named(name)),
+                                  Fraction(depth))
+
+
+@pytest.mark.parametrize("seed", ["omega", "regular"])
+@pytest.mark.parametrize("name", ["sigma2", "sigma3", "tau"])
+def test_omega_matches_joint_kernel_on_induced_modules(name, seed):
+    rep = certified_zhu(_context_named(name), Fraction(2))
+    alg = rep["algebra"]
+    umats, udim = (omega_umats(alg, rep["omega"]) if seed == "omega"
+                   else regular_umats(alg))
+    _assert_omega_is_joint_kernel(InducedSpace(alg, umats, udim, 2), 2)
+
+
+def test_parity_omega_halves_span_the_joint_kernel():
+    # the two halves of an odd-rank sigma module split the lowest-weight
+    # space between them
+    M = twisted_module(ctx_sigma(3))
+    halves = [ParitySubmodule(M, 2, s, Fraction(2)) for s in (1, -1)]
+    om = [sub.omega_basis(Fraction(2)) for sub in halves]
+    assert all(sub.contains(v) for sub, vs in zip(halves, om) for v in vs)
+    want = [v for d in sorted(M.basis_by_degree(Fraction(2)))
+            for v in omega_joint_kernel(M, d)]
+    assert len(om[0]) == len(om[1]) == len(want) // 2
+    assert _same_span(om[0] + om[1], want)
 
 
 # -------------------------------------------------------- certification

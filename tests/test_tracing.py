@@ -3,8 +3,10 @@
 perfbench/spans.py patches vosa's functions and methods by name from
 outside the package, so a refactor that renames or deletes one of them
 breaks the traced benchmark run without failing any other test.  The
-tracer is installed in a fresh interpreter, because it patches the
-package in place.
+traced jobs are the benchmark's set-up job and a small copy of its
+module-side job (certification, Omega, induction), so a change to how
+those layers are called is caught here too.  The tracer is installed in
+a fresh interpreter, because it patches the package in place.
 """
 
 import json
@@ -16,13 +18,30 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 import json, sys
+from fractions import Fraction
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import spans, workloads
 import vosa, vosa.cli, vosa.liealg, vosa.modules
 tracer = spans.Tracer()
 spans.install(tracer, vosa)
 found = tracer.run_job("warm_up", lambda: workloads.warm_up(vosa))
-print(json.dumps({"found": found, "calls": dict(tracer.calls)}))
+
+
+def represent_tau():
+    # the module-side calls of the benchmark's represent jobs, small
+    m = vosa.modules
+    ctx = vosa.zhu.ctx_tau()
+    rep = m.certified_zhu(ctx, Fraction(2))
+    om = m.OmegaSpace(m.twisted_module(ctx), Fraction(2))
+    umats, udim = m.omega_umats(rep["algebra"], rep["omega"])
+    res = m.induce_truncated(rep["algebra"], umats, udim, Fraction(2))
+    return [om.dim, res["omega_is_seed"]]
+
+
+shape = tracer.run_job("represent_tau", represent_tau)
+print(json.dumps({"found": found, "shape": shape,
+                  "calls": dict(tracer.calls),
+                  "counts": dict(tracer.counts)}))
 """
 
 
@@ -33,6 +52,10 @@ def test_tracer_installs_and_runs_warm_up():
         capture_output=True, text=True, timeout=120, check=True)
     out = json.loads(proc.stdout)
     assert out["found"] == []
+    assert out["shape"] == [2, True]
     for name in ("zhu.build", "zhu.second_cutoff", "fields.mode",
-                 "fock.basis", "modules.certify", "zhu.blocks"):
+                 "fock.basis", "modules.certify", "zhu.blocks",
+                 "modules.omega", "modules.induce", "modules.zhu_rank",
+                 "exact.nullspace"):
         assert out["calls"].get(name, 0) > 0, name
+    assert out["counts"].get("fields.mode_cache_module_entries", 0) > 0
