@@ -436,34 +436,35 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args, argv, parser) -> None:
+def _apply_config(args, argv, parser):
     """Config file supplies defaults; explicit flags win.
 
     The file holds one JSON object keyed by flag name.  Each value is
     checked as the flag's command-line value would be, by the flag's
     type and choices; a switch takes true or false, an integer flag a
     JSON integer.  Keys that name no flag of the command are ignored.
+    The values become the command's defaults and argv is parsed again,
+    so a flag counts as given whenever argparse matched it, abbreviated
+    or not.  Returns the arguments to run with.
     """
     if not getattr(args, "config", None):
-        return
+        return args
     with open(args.config) as f:
         conf = json.load(f)
     if not isinstance(conf, dict):
         raise ValueError(f"{args.config}: a config file holds a JSON object")
-    # flags given on the command line take precedence over the file
-    given = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            given.add(tok.split("=")[0][2:].replace("-", "_"))
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.command]._actions}
+    command = sub.choices[args.command]
+    actions = {a.dest: a for a in command._actions}
+    defaults = {}
     for key, val in conf.items():
         attr = key.replace("-", "_")
-        if attr in given or attr not in actions:
-            continue
-        setattr(args, attr,
-                _config_value(actions[attr], val, f"{args.config}: {key}"))
+        if attr in actions:
+            defaults[attr] = _config_value(actions[attr], val,
+                                           f"{args.config}: {key}")
+    command.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _config_value(action, val, where: str):
@@ -504,7 +505,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv, parser)
+        args = _apply_config(args, argv, parser)
         _check_ranges(args)
         return args.func(args)
     except (ValueError, OSError, RuntimeError, AssertionError) as exc:

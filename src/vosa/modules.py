@@ -176,8 +176,9 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace,
 
     Verifies o(1) = id, o(a)o(b) = o(a star b) for all table pairs,
     o(u circ v) = 0 for the sampled ideal elements (ideal_samples counts
-    the pairs checked), and reports the commutant dimension of the image
-    (1 means the action is simple)."""
+    the pairs checked; o is applied to each weight component of u circ v
+    and the images summed), and reports the commutant dimension of the
+    image (1 means the action is simple)."""
     mats = {}
     for i, m in enumerate(alg.basis):
         mat = o_matrix(om, _mono_state(m))
@@ -196,7 +197,8 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace,
             if lhs != rhs:
                 return {"ok": False, "failure": f"o(a)o(b)!=o(a*b) at {i},{j}"}
     # ideal elements u circ v act by zero: every v of weight <= 1 with a
-    # nonzero homogeneous circ, for the first o_samples nonempty u
+    # nonzero circ, for the first o_samples nonempty u; o extends
+    # linearly over the weight components of an inhomogeneous circ
     count = 0
     ctx = alg.ctx
     us = [u for u in ctx.sector.basis(Fraction(2)) if u][:o_samples]
@@ -204,10 +206,16 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace,
     for u in us:
         for v in vs:
             circ = ctx.circ(_mono_state(u), _mono_state(v))
-            if not circ or state_weight(circ) is None:
+            if not circ:
                 continue
+            parts: dict = {}
+            for m, c in circ.items():
+                parts.setdefault(weight(m), {})[m] = c
             for w in om.basis:
-                if o_action(om.space, circ, w):
+                img: dict = {}
+                for part in parts.values():
+                    vec_iadd(img, o_action(om.space, part, w))
+                if img:
                     return {"ok": False,
                             "failure": "o of an ideal element is nonzero"}
             count += 1

@@ -15,8 +15,11 @@ explicit twisted modules.  The two agree in every shipped configuration.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, isqrt
 
-from .exact import Echelon, gen_binomial, vec_iadd
+from .exact import (Echelon, charpoly_from_power_sums, gen_binomial,
+                    poly_derivative, poly_gcd, solve_in_span,
+                    span_coordinates, squarefree_decomposition, vec_iadd)
 from .fock import (
     Monomial,
     Sector,
@@ -223,6 +226,8 @@ class ZhuAlgebra:
         self.dim = len(self.basis)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._table = {}
+        self._gen_mult = None
+        self._left = None
 
     def _extend(self, w_amb) -> None:
         """Grow the relation span to cover monomials of weight <= w_amb."""
@@ -293,6 +298,74 @@ class ZhuAlgebra:
                         return False
         return True
 
+    def generator_multiplications(self) -> tuple:
+        """Left and right multiplication by the generator classes.
+
+        The generators are the unit and the weight-1/2 basis classes (the
+        classes of the strong generators).  Returns (gens, left, right)
+        with left[g][j] the coordinates of basis[g] * basis[j] and
+        right[g][j] those of basis[j] * basis[g], from star_coords: 2
+        products per generator and basis class, of weight at most
+        max_weight + 1/2.  Raises RuntimeError unless L_g R_h = R_h L_g
+        for every pair, which is associativity on the generators.
+        """
+        if self._gen_mult is None:
+            n = self.dim
+            gens = [i for i, m in enumerate(self.basis) if weight(m) <= HALF]
+            left = {g: [self.star_coords(g, j) for j in range(n)]
+                    for g in gens}
+            right = {g: [self.star_coords(j, g) for j in range(n)]
+                     for g in gens}
+            for g in gens:
+                for h in gens:
+                    for j in range(n):
+                        if (_apply(left[g], right[h][j])
+                                != _apply(right[h], left[g][j])):
+                            raise RuntimeError(
+                                "left and right multiplications by "
+                                "generator classes do not commute")
+            self._gen_mult = gens, left, right
+        return self._gen_mult
+
+    def left_multiplications(self) -> list:
+        """Left multiplication by every basis class, as sparse columns.
+
+        A breadth-first search over words in the weight-1/2 generator
+        classes, starting from the unit, keeps each word whose coordinates
+        are independent of the kept ones, with L_{g*w} = L_g L_w, and
+        stops at rank dim; L_i is then the combination of kept L_w that
+        gives basis[i].  This relies on the associativity of A_g(V) and on
+        its generation by the classes of the strong generators
+        (Dong-Li-Mason); the plain products of star_coords are the
+        checked reference.  Raises ValueError if the words do not span.
+        """
+        if self._left is None:
+            gens, left, _ = self.generator_multiplications()
+            steps = [g for g in gens if weight(self.basis[g]) == HALF]
+            unit = self.unit_coords()
+            ech = Echelon()
+            words = []  # (coordinates, left multiplication) of kept words
+            if ech.add(unit):
+                words.append((unit, _lincomb(left, unit, self.dim)))
+            k = 0
+            while k < len(words) and ech.rank < self.dim:
+                coords, mat = words[k]
+                k += 1
+                for g in steps:
+                    new = _apply(left[g], coords)
+                    if ech.add(new):
+                        words.append((new, [_apply(left[g], col)
+                                            for col in mat]))
+            if ech.rank < self.dim:
+                raise ValueError("the generator classes do not span "
+                                 "the truncation")
+            units = [{i: Fraction(1)} for i in range(self.dim)]
+            mats = [mat for _, mat in words]
+            self._left = [
+                _lincomb(mats, a, self.dim)
+                for a in span_coordinates([c for c, _ in words], units)]
+        return self._left
+
 
 def stabilized(ctx: TwistContext, max_weight, margin=Fraction(1),
                depth: int = 1):
@@ -308,27 +381,43 @@ def stabilized(ctx: TwistContext, max_weight, margin=Fraction(1),
     return a, b, a.basis == b.basis
 
 
-def _mult_coords(alg: ZhuAlgebra, a: dict, b: dict) -> dict:
+def _apply(mat: list, vec: dict) -> dict:
+    """A matrix of sparse columns applied to a sparse vector."""
     out: dict = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            vec_iadd(out, alg.star_coords(i, j), ca * cb)
+    for j, c in vec.items():
+        vec_iadd(out, mat[j], c)
     return out
 
 
+def _lincomb(mats, coords: dict, n: int) -> list:
+    """sum coords[i] mats[i], column by column."""
+    cols = [{} for _ in range(n)]
+    for i, c in coords.items():
+        for col, src in zip(cols, mats[i]):
+            vec_iadd(col, src, c)
+    return cols
+
+
 def center_basis(alg: ZhuAlgebra) -> list[dict]:
-    """Basis of the (ungraded) center, as coordinate dicts."""
+    """Basis of the (ungraded) center, as coordinate dicts.
+
+    The center is the commutant of the generator classes: they generate
+    the algebra (left_multiplications checks that their words span), and
+    by associativity an element commuting with each of them commutes with
+    their products.  The plain star_coords table is the checked
+    reference for the derived products.
+    """
     from .exact import nullspace
 
-    n = alg.dim
+    alg.left_multiplications()
+    gens, left, right = alg.generator_multiplications()
     images = []
-    for i in range(n):
+    for j in range(alg.dim):
         img: dict = {}
-        for j in range(n):
-            for t, c in alg.star_coords(i, j).items():
-                vec_iadd(img, {(j, t): c})
-            for t, c in alg.star_coords(j, i).items():
-                vec_iadd(img, {(j, t): -c})
+        for g in gens:
+            vec_iadd(img, {(g, t): c for t, c in left[g][j].items()})
+            vec_iadd(img, {(g, t): c for t, c in right[g][j].items()},
+                     Fraction(-1))
         images.append(img)
     return nullspace(images)
 
@@ -337,122 +426,106 @@ def trace_form_radical_dim(alg: ZhuAlgebra) -> int:
     """Dimension of the radical of the trace form tr(L_a L_b).
 
     For a finite-dimensional associative algebra in characteristic zero
-    this equals the dimension of the Jacobson radical.
+    this equals the dimension of the Jacobson radical.  The form is
+    tr(L_i L_j) = sum c_ik^t c_jt^k over the sparse structure constants
+    of left_multiplications, which are derived from the generator
+    products by associativity; the plain star_coords table is the checked
+    reference.
     """
     from .exact import nullspace
 
     n = alg.dim
-    left = [alg.multiplication_matrix({i: Fraction(1)}) for i in range(n)]
-    rows = []
+    consts = [{(k, t): c for k, col in enumerate(mat) for t, c in col.items()}
+              for mat in alg.left_multiplications()]
+    rows = [{} for _ in range(n)]
     for i in range(n):
-        img = {}
-        for j in range(n):
-            tr = sum(
-                (sum((left[i][k][t] * left[j][t][k] for t in range(n)),
-                     Fraction(0)) for k in range(n)),
-                Fraction(0),
-            )
+        for j in range(i, n):
+            cj = consts[j]
+            tr = sum((c * cj[(t, k)] for (k, t), c in consts[i].items()
+                      if (t, k) in cj), Fraction(0))
             if tr:
-                img[j] = tr
-        rows.append(img)
+                rows[i][j] = rows[j][i] = tr
     return len(nullspace(rows))
 
 
-def _minimal_polynomial(alg: ZhuAlgebra, v: dict):
-    """Monic minimal polynomial of an element, low degree first."""
-    from .exact import solve_in_span
-
-    powers = [alg.unit_coords()]
+def _minimal_polynomial(mat: list, unit: dict) -> list:
+    """Monic minimal polynomial of the element with left multiplication
+    mat, from its powers applied to the unit; low degree first."""
+    powers = [unit]
     while True:
-        nxt = _mult_coords(alg, v, powers[-1])
+        nxt = _apply(mat, powers[-1])
         coords = solve_in_span(powers, nxt)
         if coords is not None:
             return [-c for c in coords] + [Fraction(1)]
         powers.append(nxt)
 
 
-def _poly_at(alg: ZhuAlgebra, coeffs, v: dict) -> dict:
-    """Evaluate sum coeffs[k] v^k inside the algebra (Horner)."""
-    acc: dict = {}
-    for c in reversed(coeffs):
-        acc = _mult_coords(alg, v, acc)
-        if c:
-            vec_iadd(acc, alg.unit_coords(), Fraction(c))
-    return acc
+def separating_element(left: list, zc: list[dict], unit: dict) -> tuple:
+    """A central element that generates the center, if the center is
+    semisimple.
+
+    left holds the left multiplications of the basis classes and zc a
+    basis of the center.  Tries z(c) = sum_i c^i zc[i] for c = 0, 1, ...,
+    C(k,2)(k-1) with k = len(zc): two distinct characters of a semisimple
+    center differ on z(c), a nonzero polynomial of degree < k in c, for
+    all but at most k - 1 values of c, so one of these candidates
+    separates every pair.  Returns the left multiplication of the first z
+    whose minimal polynomial has degree k, and that polynomial.
+    """
+    k = len(zc)
+    for c in range(comb(k, 2) * (k - 1) + 1):
+        z: dict = {}
+        for i, v in enumerate(zc):
+            vec_iadd(z, v, Fraction(c) ** i)
+        lz = _lincomb(left, z, len(left))
+        minpoly = _minimal_polynomial(lz, unit)
+        if len(minpoly) - 1 == k:
+            return lz, minpoly
+    raise RuntimeError("no separating central element found")
 
 
 def block_profile(alg: ZhuAlgebra) -> dict:
     """Semisimple structure of the algebra: matrix block sizes.
 
-    A separating central element is found whose minimal polynomial has
-    the center's dimension; each irreducible rational factor of degree d
-    cuts a central component of dimension D carrying d complex blocks of
-    size sqrt(D/d).  Everything is exact: the only floating point free
-    step is sympy's rational polynomial factorization.
+    The minimal polynomial of a separating central element z
+    (separating_element) has the center's dimension as degree and must
+    be squarefree (a semisimple center).  Over C each simple block of
+    size s contributes an eigenvalue of L_z of multiplicity s^2, so Yun's
+    squarefree decomposition of the characteristic polynomial of L_z,
+    prod P_e^e, gives deg P_e blocks of size sqrt(e).  The characteristic
+    polynomial comes from Newton's identities on the power sums
+    tr(L_z^k) = tr(L_{z^k}).  Everything is exact rational arithmetic on
+    left_multiplications, whose products rely on the associativity of
+    A_g(V); the plain star_coords table is the checked reference.
     """
-    import sympy
-    from math import isqrt
-
     zc = center_basis(alg)
     rad = trace_form_radical_dim(alg)
-    # search for a separating central element among small combinations
-    cand = list(zc)
-    for i in range(len(zc)):
-        for j in range(i + 1, len(zc)):
-            mix: dict = {}
-            vec_iadd(mix, zc[i])
-            vec_iadd(mix, zc[j], Fraction(2))
-            cand.append(mix)
-    sep = None
-    for v in cand:
-        mp = _minimal_polynomial(alg, v)
-        if len(mp) - 1 == len(zc):
-            sep, minpoly = v, mp
-            break
-    if sep is None:
-        raise RuntimeError("no separating central element found")
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(
-        sum(sympy.Rational(c.numerator, c.denominator) * x**k
-            for k, c in enumerate(minpoly)),
-        x,
-    )
-    blocks = []
-    idempotents = []
-    for fac, mult in poly.factor_list()[1]:
-        if mult != 1:
-            raise RuntimeError("center is not semisimple")
-        h = poly.exquo(fac)
-        u, _, g = sympy.gcdex(h.as_expr(), fac.as_expr(), x)
-        if sympy.simplify(g - 1) != 0:
-            u = u / g
-        proj = sympy.Poly(sympy.expand(u * h.as_expr()), x)
-        coeffs = [Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
-                  for c in reversed(proj.all_coeffs())]
-        e = _poly_at(alg, coeffs, sep)
-        idempotents.append(e)
-        ech = Echelon()
-        for j in range(alg.dim):
-            ech.add(_mult_coords(alg, e, {j: Fraction(1)}))
-        D = ech.rank
-        d = fac.degree()
-        size_sq, remainder = divmod(D, d)
-        s = isqrt(size_sq)
-        if remainder or s * s != size_sq:
-            raise RuntimeError("component does not split into square blocks")
-        blocks.extend([s] * d)
-    # idempotents must be orthogonal and sum to the unit
-    total: dict = {}
-    for e in idempotents:
-        if _mult_coords(alg, e, e) != e:
-            raise RuntimeError("projection is not idempotent")
-        vec_iadd(total, e)
+    left = alg.left_multiplications()
+    n, k = alg.dim, len(zc)
     unit = alg.unit_coords()
-    vec_iadd(total, unit, Fraction(-1))
-    if total:
-        raise RuntimeError("central idempotents do not sum to the unit")
+    lz, minpoly = separating_element(left, zc, unit)
+    if len(poly_gcd(minpoly, poly_derivative(minpoly))) > 1:
+        raise RuntimeError("center is not semisimple")
+    traces = [sum((col.get(j, 0) for j, col in enumerate(mat)), Fraction(0))
+              for mat in left]
+    power, sums = unit, []
+    for _ in range(n):
+        power = _apply(lz, power)
+        sums.append(sum((traces[t] * x for t, x in power.items()),
+                        Fraction(0)))
+    parts = squarefree_decomposition(charpoly_from_power_sums(sums))
+    blocks = []
+    for e, p in parts.items():
+        s = isqrt(e)
+        if s * s != e:
+            raise RuntimeError("component does not split into square blocks")
+        blocks.extend([s] * (len(p) - 1))
+    if (sum(e * (len(p) - 1) for e, p in parts.items()) != n
+            or sum(len(p) - 1 for p in parts.values()) != k):
+        raise RuntimeError("characteristic polynomial does not match "
+                           "the center")
     return {
-        "center_dim": len(zc),
+        "center_dim": k,
         "radical_dim": rad,
         "blocks": sorted(blocks, reverse=True),
     }

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,11 +50,11 @@ def test_verify_suites_pass(tmp_path, suite):
 
 
 @pytest.mark.parametrize("argv,pairs", [
-    (["--l", "1"], 0), (["--l", "2"], 2), (["--l", "3"], 8),
-    (["--twist", "tau"], 9)])
+    (["--l", "1"], 6), (["--l", "2"], 34), (["--l", "3"], 129),
+    (["--twist", "tau"], 34)])
 def test_omega_suite_checks_every_ideal_pair(tmp_path, argv, pairs):
-    # every v of weight <= 1 with a homogeneous u circ v, not only the
-    # first one for each u
+    # every v of weight <= 1 with a nonzero u circ v, homogeneous or not,
+    # not only the first one for each u
     code, data = run(tmp_path, "verify", "--suite", "omega", *argv,
                      "--max-weight", "5/2")
     assert code == EXIT_OK and data["ok"]
@@ -128,6 +131,14 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
     code, data = run(tmp_path, "zhu", "--config", str(conf), "--l", "1",
                      "--certify")
     assert code == EXIT_OK and data["l"] == 1 and data["dim"] == 2
+
+
+def test_abbreviated_flag_beats_config(tmp_path):
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"max-weight": "2"}))
+    code, data = run(tmp_path, "basis", "--config", str(conf), "--max", "1")
+    assert code == EXIT_OK
+    assert data["graded_dims"] == {"0": 1, "1/2": 2, "1": 1}
 
 
 @pytest.mark.parametrize("command,conf", [
@@ -274,3 +285,23 @@ def test_engine_failure_is_a_clean_error(tmp_path, capsys, monkeypatch,
     assert main(["zhu", "--l", "1", "--max-weight", "2"]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err == "error: no separating central element found\n"
+
+
+SYMPY_FREE = """
+import sys
+sys.modules["sympy"] = None  # any import of sympy now fails
+sys.path.insert(0, sys.argv[1])
+from vosa.cli import main
+sys.exit(main(["zhu", "--certify", "--l", "2"]))
+"""
+
+
+def test_zhu_certify_runs_without_sympy():
+    # the package has no runtime dependencies; keep it that way
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "VOSA_CACHE_DIR"}
+    proc = subprocess.run([sys.executable, "-c", SYMPY_FREE, str(src)],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["blocks"] == [2]

@@ -1,12 +1,16 @@
 """Twisted Zhu algebras: products, quotients, dimensions and structure."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vosa.exact import vec_iadd
 from vosa.fields import Virasoro
 from vosa.zhu import (ZhuAlgebra, block_profile, center_basis, ctx_identity,
-                      ctx_sigma, ctx_tau, stabilized, trace_form_radical_dim)
+                      ctx_sigma, ctx_tau, separating_element, stabilized,
+                      trace_form_radical_dim)
 
 H = Fraction(1, 2)
 ONE = Fraction(1)
@@ -144,7 +148,8 @@ def test_omega_class_is_central():
 
 
 @pytest.mark.parametrize("l,blocks,center", [(1, [1, 1], 2), (2, [2], 1),
-                                             (3, [2, 2], 2), (4, [4], 1)])
+                                             (3, [2, 2], 2), (4, [4], 1),
+                                             (5, [4, 4], 2)])
 def test_sigma_block_profiles(l, blocks, center):
     w = Fraction(2) if l == 4 else Fraction(5, 2)
     alg = ZhuAlgebra(ctx_sigma(l), w)
@@ -186,3 +191,64 @@ def test_lazy_relation_extension_is_conservative():
     coords = alg.reduce(ctx.star(heavy, heavy))
     assert alg.basis == basis0
     assert all(i < alg.dim for i in coords)
+
+
+# ----------------------------------------- derived structure constants
+@lru_cache(maxsize=None)
+def _algebra(twist, l):
+    # the benchmark cutoffs: 5/2 for sigma l <= 3, 2 otherwise
+    if twist == "sigma":
+        return ZhuAlgebra(ctx_sigma(l), Fraction(5, 2) if l < 4 else 2)
+    if twist == "id":
+        return ZhuAlgebra(ctx_identity(l), Fraction(2))
+    return ZhuAlgebra(ctx_tau(), Fraction(2))
+
+
+@pytest.mark.parametrize("twist,l", [("sigma", 1), ("sigma", 2),
+                                     ("sigma", 3), ("sigma", 4),
+                                     ("id", 1), ("id", 2), ("id", 3),
+                                     ("tau", 2)])
+def test_derived_left_multiplication_matches_star_table(twist, l):
+    alg = _algebra(twist, l)
+    left = alg.left_multiplications()
+    assert len(left) == alg.dim
+    for i in range(alg.dim):
+        assert left[i] == [alg.star_coords(i, j) for j in range(alg.dim)]
+
+
+def _coords(draw, n):
+    vals = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return {i: Fraction(v) for i, v in enumerate(vals) if v}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([("sigma", 2), ("sigma", 3), ("tau", 2)]), st.data())
+def test_derived_product_matches_plain_product(case, data):
+    alg = _algebra(*case)
+    a = _coords(data.draw, alg.dim)
+    b = _coords(data.draw, alg.dim)
+    left = alg.left_multiplications()
+    derived: dict = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            vec_iadd(derived, left[i][j], ca * cb)
+    plain: dict = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            vec_iadd(plain, alg.star_coords(i, j), ca * cb)
+    assert derived == plain
+
+
+def test_separating_element_beyond_pairwise_mixes():
+    # Q^3 with componentwise product; every single basis vector and every
+    # mix zc[i] + 2 zc[j] of this center basis has a repeated eigenvalue
+    left = [[{i: ONE} if j == i else {} for j in range(3)]
+            for i in range(3)]
+    unit = {0: ONE, 1: ONE, 2: ONE}
+    zc = [{0: Fraction(2), 1: Fraction(2), 2: Fraction(2)},
+          {0: -ONE, 1: ONE, 2: -ONE},
+          {0: Fraction(2), 1: ONE, 2: ONE}]
+    lz, minpoly = separating_element(left, zc, unit)
+    assert len(minpoly) == 4
+    # z(1) = (3, 4, 2): the minimal polynomial is (x-3)(x-4)(x-2)
+    assert minpoly == [-24, 26, -9, 1]
