@@ -254,9 +254,17 @@ def _combine(mats, coords, n):
 
 
 def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1),
-                  depth: int = 1, omega_degree=Fraction(1)) -> dict:
-    """Full certification: stabilized upper bound against zero-mode rank."""
-    alg, _, stable = stabilized(ctx, max_weight, margin, depth)
+                  omega_degree=Fraction(1)) -> dict:
+    """Full certification: stabilized upper bound against zero-mode rank.
+
+    The upper bound is the echelon quotient by the relations u circ v
+    with u a generator mode, plus the twist-odd monomials (o_relations);
+    the lower bound is the rank of the zero-mode action on Omega(M) of
+    the twisted module.  Certified means the bounds meet, the basis is
+    the same at max_weight and max_weight + 1/2, and the guard band is
+    covered.
+    """
+    alg, _, stable = stabilized(ctx, max_weight, margin)
     space = twisted_module(ctx)
     om = OmegaSpace(space, omega_degree)
     lower = zhu_rank(alg, [om])
@@ -501,10 +509,17 @@ class InducedSpace(Sector):
 
 
 def regular_umats(alg: ZhuAlgebra) -> tuple:
-    """The algebra acting on itself by left multiplication."""
-    mats = {i: alg.multiplication_matrix({i: Fraction(1)})
-            for i in range(alg.dim)}
-    return mats, alg.dim
+    """The algebra acting on itself by left multiplication.
+
+    mats[i][x][y] is the x coordinate of basis[i] * basis[y], read from
+    the derived left_multiplications; the plain star_coords table is the
+    reference the tests check it against.
+    """
+    n = alg.dim
+    mats = {i: [[col.get(x, Fraction(0)) for col in left]
+                for x in range(n)]
+            for i, left in enumerate(alg.left_multiplications())}
+    return mats, n
 
 
 def omega_umats(alg: ZhuAlgebra, om: OmegaSpace) -> tuple:

@@ -76,52 +76,38 @@ class TwistContext:
             raise ValueError("state must be weight- and twist-homogeneous")
         return ws.pop(), rs.pop()
 
-    def circ(self, u: State, v: State) -> State:
-        """The product whose span is the ideal O_g."""
-        wu, rs = self._homogeneous(u)
-        d = 1 if rs == 0 else 0
-        alpha = wu - 1 + d + Fraction(rs, self.T)
+    def _residue_sum(self, u: State, wu, v: State, alpha, k: int) -> State:
+        """sum_s binom(alpha, s) u_{s-k} v, over s - k <= wt u + wt v - 1
+        (every higher mode of u annihilates v)."""
         wv = max((weight(m) for m in v), default=Fraction(0))
         out: State = {}
         s = 0
-        while s - 1 - d <= wu + wv - 1:
+        while s - k <= wu + wv - 1:
             c = gen_binomial(alpha, s)
             if c:
-                vec_iadd(out, mode(self.sector, u, s - 1 - d, v), c)
+                vec_iadd(out, mode(self.sector, u, s - k, v), c)
             s += 1
         return out
+
+    def circ(self, u: State, v: State) -> State:
+        """The product whose span is the ideal O_g."""
+        return self.reduction_family(u, v, 0, 0)
 
     def star(self, u: State, v: State) -> State:
         """The product inducing the associative multiplication on A_g."""
         wu, rs = self._homogeneous(u)
         if rs != 0:
             return {}
-        wv = max((weight(m) for m in v), default=Fraction(0))
-        out: State = {}
-        i = 0
-        while i - 1 <= wu + wv - 1:
-            c = gen_binomial(wu, i)
-            if c:
-                vec_iadd(out, mode(self.sector, u, i - 1, v), c)
-            i += 1
-        return out
+        return self._residue_sum(u, wu, v, wu, 1)
 
     def reduction_family(self, u: State, v: State, m: int, n: int) -> State:
-        """Members of O_g indexed by m >= n >= 0; (0, 0) recovers circ."""
+        """Members of O_g indexed by m >= n >= 0; (0, 0) is circ."""
         if not m >= n >= 0:
             raise ValueError("need m >= n >= 0")
         wu, rs = self._homogeneous(u)
         d = 1 if rs == 0 else 0
         alpha = wu - 1 + d + Fraction(rs, self.T) + n
-        wv = max((weight(m2) for m2 in v), default=Fraction(0))
-        out: State = {}
-        s = 0
-        while s - m - d - 1 <= wu + wv - 1:
-            c = gen_binomial(alpha, s)
-            if c:
-                vec_iadd(out, mode(self.sector, u, s - m - d - 1, v), c)
-            s += 1
-        return out
+        return self._residue_sum(u, wu, v, alpha, m + d + 1)
 
 
 def ctx_sigma(l: int) -> TwistContext:
@@ -155,21 +141,19 @@ def _mono_state(m: Monomial) -> State:
     return {m: Fraction(1)}
 
 
-def o_relations(ctx: TwistContext, w_ambient, depth: int = 1,
-                w_skip=Fraction(-1)):
+def o_relations(ctx: TwistContext, w_ambient, w_skip=Fraction(-1)):
     """Generate members of O_g supported inside weight <= w_ambient.
 
-    Yields the (m, n) reduction-family vectors up to the given extra
-    depth (circ products are (0, 0)), plus the twist-odd monomials, which
-    lie in O_g outright.  Relations are generator-first: the first
-    argument u runs over the single-factor monomials (generator modes of
-    any weight) and only v runs over the whole basis, because the classes
-    of the strong generators generate A_g(V) and O_g is reached through
-    relations whose first argument is a generator.  This is sound without
-    that theorem: any subset of O_g gives an upper bound that the
-    certification squeeze still has to meet, and reducing modulo a
-    sub-span either returns the true class or raises because the class
-    escapes the truncation.
+    Yields the twist-odd monomials, which lie in O_g outright, and the
+    products u circ v with u a single-factor monomial (a generator mode
+    of any weight) and v any basis monomial.  O_g is by definition the
+    span of the circ products; restricting u to generator modes rests on
+    the classes of the strong generators generating A_g(V), and the wider
+    (m, n) reduction family is a consequence of these products that the
+    tests check.  This is sound without either fact: any subset of O_g
+    gives an upper bound that the certification squeeze still has to
+    meet, and reducing modulo a sub-span either returns the true class or
+    raises because the class escapes the truncation.
 
     Every vector is complete (never truncated), so the span is a genuine
     subspace of O_g.  Vectors whose top weight is at most w_skip are
@@ -182,20 +166,17 @@ def o_relations(ctx: TwistContext, w_ambient, depth: int = 1,
     for u in basis:
         if len(u) != 1:
             continue
-        wu = weight(u)
-        du = ctx.delta(u)
+        lift = weight(u) + ctx.delta(u)  # top weight of u circ v, less wt v
         for v in basis:
-            top = wu + weight(v) + du
-            for m in range(depth + 1):
-                for n in range(m + 1):
-                    if w_skip < top + m <= w_ambient:
-                        yield ctx.reduction_family(
-                            _mono_state(u), _mono_state(v), m, n)
+            if w_skip < lift + weight(v) <= w_ambient:
+                yield ctx.circ(_mono_state(u), _mono_state(v))
 
 
 class ZhuAlgebra:
     """Exact model of A_g(V) from a weight-truncated echelon quotient.
 
+    The relations are those of o_relations: u circ v with u a generator
+    mode, plus the twist-odd monomials, up to weight max_weight + margin.
     basis holds the surviving monomials of weight <= max_weight; tables
     of structure constants are computed on demand.  dim is an upper
     bound for the true dimension by construction; high_covered reports
@@ -204,11 +185,10 @@ class ZhuAlgebra:
     """
 
     def __init__(self, ctx: TwistContext, max_weight, margin=Fraction(1),
-                 depth: int = 1, *, _below: ZhuAlgebra | None = None):
+                 *, _below: ZhuAlgebra | None = None):
         self.ctx = ctx
         self.max_weight = Fraction(max_weight)
         self.margin = Fraction(margin)
-        self.depth = depth
         w_amb = self.max_weight + self.margin
         self.ech = Echelon()
         self._covered = Fraction(-1)
@@ -233,7 +213,7 @@ class ZhuAlgebra:
         """Grow the relation span to cover monomials of weight <= w_amb."""
         if w_amb <= self._covered:
             return
-        for rel in o_relations(self.ctx, w_amb, self.depth, self._covered):
+        for rel in o_relations(self.ctx, w_amb, self._covered):
             if rel:
                 self.ech.add({graded_key(m): c for m, c in rel.items()})
         self._covered = w_amb
@@ -264,19 +244,6 @@ class ZhuAlgebra:
                                  _mono_state(self.basis[j]))
             self._table[key] = self.reduce(prod)
         return self._table[key]
-
-    def multiplication_matrix(self, coords: dict):
-        """Left multiplication by sum coords[i] basis[i], as dense rows."""
-        n = self.dim
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            col = {}
-            for i, c in coords.items():
-                if c:
-                    vec_iadd(col, self.star_coords(i, j), c)
-            for i, c in col.items():
-                mat[i][j] = c
-        return mat
 
     def unit_coords(self) -> dict:
         return self.reduce({(): Fraction(1)})
@@ -367,8 +334,7 @@ class ZhuAlgebra:
         return self._left
 
 
-def stabilized(ctx: TwistContext, max_weight, margin=Fraction(1),
-               depth: int = 1):
+def stabilized(ctx: TwistContext, max_weight, margin=Fraction(1)):
     """Build the algebra at two consecutive cutoffs and insist they agree.
 
     The second cutoff, max_weight + 1/2, grows the first one's echelon by
@@ -376,8 +342,8 @@ def stabilized(ctx: TwistContext, max_weight, margin=Fraction(1),
     Its row space, and so its pivot keys, basis and reductions, are those
     of a from-scratch build at that cutoff.
     """
-    a = ZhuAlgebra(ctx, max_weight, margin, depth)
-    b = ZhuAlgebra(ctx, a.max_weight + HALF, margin, depth, _below=a)
+    a = ZhuAlgebra(ctx, max_weight, margin)
+    b = ZhuAlgebra(ctx, a.max_weight + HALF, margin, _below=a)
     return a, b, a.basis == b.basis
 
 

@@ -2,10 +2,12 @@
 
 Everything here is implemented from first principles, without using the
 package's recursion or echelon machinery, so agreement is meaningful.
-The two exceptions are the plain computations that the package's pruned
+The exceptions are the plain computations that the package's pruned
 ones are checked against: full_pairs_relations, the relation generator
-over all pairs, and omega_joint_kernel, the lowest-weight space cut out
-by the generator and the Virasoro modes together.
+over all pairs, generator_first_relations, which adds the depth-1
+reduction family to the circ products, and omega_joint_kernel, the
+lowest-weight space cut out by the generator and the Virasoro modes
+together.
 """
 
 from fractions import Fraction
@@ -82,14 +84,10 @@ def integer_binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def full_pairs_relations(ctx, w_ambient, depth: int = 1,
-                         w_skip=Fraction(-1)):
-    """The unpruned relation generator: reduction-family vectors for
-    every pair (u, v) of basis monomials, not only generator-first ones.
-
-    Same signature and order as vosa.zhu.o_relations, so it can stand in
-    for it in a ZhuAlgebra build.
-    """
+def _family_relations(ctx, w_ambient, w_skip, depth, first):
+    """The twist-odd monomials, then the (m, n) reduction-family vectors
+    for 0 <= n <= m <= depth and every pair (u, v) of basis monomials with
+    first(u), in the order of vosa.zhu.o_relations."""
     from vosa.fock import weight
 
     basis = ctx.sector.basis(w_ambient)
@@ -97,7 +95,7 @@ def full_pairs_relations(ctx, w_ambient, depth: int = 1,
         if mono and ctx.rstar(mono) != 0 and weight(mono) > w_skip:
             yield {mono: Fraction(1)}
     for u in basis:
-        if not u:
+        if not first(u):
             continue
         wu = weight(u)
         du = ctx.delta(u)
@@ -108,6 +106,28 @@ def full_pairs_relations(ctx, w_ambient, depth: int = 1,
                     if w_skip < top + m <= w_ambient:
                         yield ctx.reduction_family(
                             {u: Fraction(1)}, {v: Fraction(1)}, m, n)
+
+
+def full_pairs_relations(ctx, w_ambient, w_skip=Fraction(-1), *, depth=1):
+    """The unpruned relation generator: reduction-family vectors up to
+    the given depth for every pair (u, v) of basis monomials, not only
+    generator-first circ products.
+
+    Same positional signature as vosa.zhu.o_relations, so it can stand
+    in for it in a ZhuAlgebra build.
+    """
+    return _family_relations(ctx, w_ambient, w_skip, depth, bool)
+
+
+def generator_first_relations(ctx, w_ambient, w_skip=Fraction(-1), *,
+                              depth=1):
+    """Generator-first reduction-family vectors up to the given depth:
+    u runs over the generator modes only, as in vosa.zhu.o_relations,
+    which keeps only the circ products (depth 0).  Same positional
+    signature as o_relations.
+    """
+    return _family_relations(ctx, w_ambient, w_skip, depth,
+                             lambda u: len(u) == 1)
 
 
 def omega_joint_kernel(space, d):

@@ -130,7 +130,8 @@ def test_criterion_6_identity_suites():
                                            Fraction(3, 2))
                 assert rep["ok"] and rep["nonzero"] > 0
 
-    # (e) the residue reduction family lands in the relation ideal
+    # (e) the residue reduction family lands in the span of the circ
+    # relations
     ctx = ctx_sigma(2)
     alg = ZhuAlgebra(ctx, Fraction(5, 2))
     for u in (gen(0), gen(1), vir.omega):

@@ -313,6 +313,23 @@ def test_induction_from_regular_module():
     assert res["omega_is_seed"]
 
 
+@pytest.mark.parametrize("ctx,w", (
+    [pytest.param(ctx_sigma(l), Fraction(5, 2) if l < 4 else Fraction(2),
+                  id=f"sigma{l}") for l in (1, 2, 3, 4)]
+    + [pytest.param(ctx_tau(), Fraction(2), id="tau")]))
+def test_regular_seed_matches_star_table(ctx, w):
+    # the seed is read from the derived left multiplications; entry
+    # [x][y] of basis[i]'s matrix is the x coordinate of basis[i] * basis[y]
+    # in the plain table (not its transpose, which is a right action)
+    alg = ZhuAlgebra(ctx, w)
+    mats, udim = regular_umats(alg)
+    assert udim == alg.dim and sorted(mats) == list(range(alg.dim))
+    for i, mat in mats.items():
+        for x in range(alg.dim):
+            for y in range(alg.dim):
+                assert mat[x][y] == alg.star_coords(i, y).get(x, 0)
+
+
 def test_induced_space_commutator_identity():
     from vosa.fields import mode_offset, verify_commutator
 

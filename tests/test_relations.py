@@ -1,17 +1,18 @@
-"""Generator-first relations and the incremental stabilization cutoff.
+"""Generator-first circ relations and the incremental stabilization cutoff.
 
-The package generates O_g relations with a generator as first argument
-and grows the second cutoff from the first one's echelon.  Both are
-checked here against the plain computations: the full-pairs relation
-generator and a from-scratch build at the second cutoff.
+The package generates O_g from the products u circ v with a generator
+mode as first argument, and grows the second cutoff from the first
+one's echelon.  Both are checked here against the plain computations:
+the full-pairs relation generator, the depth-1 reduction family with a
+generator first, and a from-scratch build at the second cutoff.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from oracles import full_pairs_relations
-from vosa import zhu
+from oracles import full_pairs_relations, generator_first_relations
+from vosa import modules, zhu
 from vosa.modules import certified_zhu
 from vosa.zhu import (ZhuAlgebra, ctx_identity, ctx_sigma, ctx_tau,
                       stabilized)
@@ -49,6 +50,54 @@ def test_generator_first_matches_full_pairs(ctx, cut, monkeypatch):
     assert pruned[0] == full[0]
     assert pruned[1] == full[1]
     assert pruned[2] == full[2]
+
+
+def _star_table(alg):
+    """Every product's coordinates, or the message of its escape."""
+    table = {}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            try:
+                table[i, j] = alg.star_coords(i, j)
+            except ValueError as exc:
+                table[i, j] = str(exc)
+    return table
+
+
+def _certification(ctx, w, margin, monkeypatch):
+    """Pivot keys at both cutoffs, basis, full star table and report of
+    one certified_zhu run."""
+    builds = []
+
+    def keep(*args):
+        builds.append(stabilized(*args))
+        return builds[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(modules, "stabilized", keep)
+        rep = certified_zhu(ctx, w, margin)
+    (a, b, _), = builds
+    report = {k: v for k, v in rep.items() if k not in ("algebra", "omega")}
+    return (set(a.ech.pivots), set(b.ech.pivots), a.basis, _star_table(a),
+            report)
+
+
+@pytest.mark.parametrize("ctx,w,margin", (
+    [pytest.param(ctx_sigma(l), Fraction(5, 2) if l < 4 else Fraction(2),
+                  Fraction(2), id=f"sigma{l}") for l in (1, 2, 3, 4)]
+    + [pytest.param(ctx_identity(l), Fraction(2), Fraction(1), id=f"id{l}")
+       for l in (1, 2, 3)]
+    + [pytest.param(ctx_tau(), Fraction(2), Fraction(1), id="tau"),
+       pytest.param(ctx_sigma(3), Fraction(1), Fraction(1),
+                    id="sigma3-low")]))
+def test_circ_only_matches_depth_one_family(ctx, w, margin, monkeypatch):
+    # the (1, 0) and (1, 1) reduction-family members add nothing to the
+    # span of the generator-first circ products
+    circ_only = _certification(ctx, w, margin, monkeypatch)
+    monkeypatch.setattr(zhu, "o_relations", generator_first_relations)
+    family = _certification(ctx, w, margin, monkeypatch)
+    for got, want in zip(circ_only, family):
+        assert got == want
 
 
 @pytest.mark.parametrize("ctx,w", [(ctx_sigma(2), Fraction(5, 2)),

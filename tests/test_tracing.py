@@ -53,9 +53,10 @@ def test_tracer_installs_and_runs_warm_up():
     out = json.loads(proc.stdout)
     assert out["found"] == []
     assert out["shape"] == [2, True]
-    for name in ("zhu.build", "zhu.second_cutoff", "fields.mode",
-                 "fock.basis", "modules.certify", "zhu.blocks",
-                 "modules.omega", "modules.induce", "modules.zhu_rank",
-                 "exact.nullspace"):
+    for name in ("zhu.build", "zhu.relations", "zhu.second_cutoff",
+                 "fields.mode", "fock.basis", "modules.certify",
+                 "zhu.blocks", "modules.omega", "modules.induce",
+                 "modules.zhu_rank", "exact.nullspace"):
         assert out["calls"].get(name, 0) > 0, name
     assert out["counts"].get("fields.mode_cache_module_entries", 0) > 0
+    assert out["counts"].get("zhu.relations_generated", 0) > 0

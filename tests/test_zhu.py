@@ -68,7 +68,7 @@ def test_circ_of_generators_lands_in_ideal():
 
 def test_reduction_family_lands_in_ideal():
     # the whole two-parameter family of residue relations dies in the
-    # quotient, not only the defining circle products
+    # quotient by the generator-first circle products alone
     ctx = ctx_sigma(2)
     alg = ZhuAlgebra(ctx, Fraction(5, 2))
     vir = Virasoro(ctx.sector)
