@@ -2,7 +2,8 @@
 
 Scalars are ``fractions.Fraction`` throughout.  Sparse vectors are plain
 dicts mapping a totally ordered key (usually a canonical monomial tuple)
-to a nonzero Fraction.  The elimination core is fraction-free: rows are
+to a nonzero Fraction.  A matrix is a list of sparse columns: mat[y] is
+the image of basis vector y.  The elimination core is fraction-free: rows are
 scaled to integers and combined by cross-multiplication with gcd
 normalization, so no intermediate fractions appear.
 """
@@ -179,6 +180,23 @@ def span_coordinates(basis: list[dict], targets: list[dict]) -> list:
         else:
             out.append({k[1]: -x for k, x in red.items()})
     return out
+
+
+def mat_apply(mat: list, vec: dict) -> dict:
+    """A matrix of sparse columns applied to a sparse vector."""
+    out: dict = {}
+    for j, c in vec.items():
+        vec_iadd(out, mat[j], c)
+    return out
+
+
+def mat_lincomb(mats, coords: dict, n: int) -> list:
+    """sum coords[i] mats[i] of n-column matrices, column by column."""
+    cols = [{} for _ in range(n)]
+    for i, c in coords.items():
+        for col, src in zip(cols, mats[i]):
+            vec_iadd(col, src, c)
+    return cols
 
 
 # -- univariate polynomials: coefficient lists, lowest degree first ---------

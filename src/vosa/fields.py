@@ -16,17 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exact import gen_binomial, vec_iadd
+from .exact import gen_binomial, span_coordinates, vec_iadd
 from .fock import Monomial, State, normalize, parity, state_weight, weight
 
 HALF = Fraction(1, 2)
-
-
-def _cache(space) -> dict:
-    c = getattr(space, "_mode_cache", None)
-    if c is None:
-        c = space._mode_cache = {}
-    return c
 
 
 def twist_correction(chi: Fraction, p: int, t: int) -> Fraction:
@@ -40,7 +33,7 @@ def twist_correction(chi: Fraction, p: int, t: int) -> Fraction:
 
 def mode_mono(space, u: Monomial, n: Fraction, w) -> State:
     """u_n applied to a single target basis element w; returns a State."""
-    cache = _cache(space)
+    cache = space._mode_cache
     key = (u, n, w)
     hit = cache.get(key)
     if hit is not None:
@@ -62,57 +55,46 @@ def mode_mono(space, u: Monomial, n: Fraction, w) -> State:
     tail_sign = -1 if parity(tail) else 1
     wt_tail = weight(tail)
     out: State = {}
-    for k, c in space.embed[a]:
-        # right of the normal ordering: act on w first, sign past the tail
-        for q in space.ann_modes(k, w):
-            aw = space.apply_gen(k, q, w)
-            if not aw:
-                continue
-            coeff = c * gen_binomial(-q - HALF, p) * tail_sign
-            n2 = n - q - p - HALF
-            for m2, c2 in aw.items():
-                vec_iadd(out, mode_mono(space, tail, n2, m2), coeff * c2)
-        # left of the normal ordering: act after the tail's result
-        lo = n - p - HALF - (deg_w + wt_tail - 1)
-        for q in space.left_modes(k, lo):
-            res = mode_mono(space, tail, n - q - p - HALF, w)
-            if not res:
-                continue
-            coeff = c * gen_binomial(-q - HALF, p)
-            for m2, c2 in res.items():
-                vec_iadd(out, space.apply_gen(k, q, m2), coeff * c2)
-        # twist corrections: lower-weight products of this component
-        # with the tail, taken inside the algebra itself
-        chi = space.charge(k)
-        if chi:
-            alg = space.algebra
-            t = 1
-            while HALF + wt_tail - t >= 0:
-                ct = twist_correction(chi, p, t)
-                if ct:
-                    prod = mode(alg, space.vstate[k], t - 1, {tail: Fraction(1)},
-                                check_index=False)
-                    for m2, c2 in prod.items():
-                        vec_iadd(out, mode_mono(space, m2, n - p - t, w),
-                                 -c * ct * c2)
-                t += 1
+    # right of the normal ordering: act on w first, sign past the tail
+    for q in space.ann_modes(a, w):
+        aw = space.apply_gen(a, q, w)
+        if not aw:
+            continue
+        coeff = gen_binomial(-q - HALF, p) * tail_sign
+        n2 = n - q - p - HALF
+        for m2, c2 in aw.items():
+            vec_iadd(out, mode_mono(space, tail, n2, m2), coeff * c2)
+    # left of the normal ordering: act after the tail's result
+    lo = n - p - HALF - (deg_w + wt_tail - 1)
+    for q in space.left_modes(a, lo):
+        res = mode_mono(space, tail, n - q - p - HALF, w)
+        if not res:
+            continue
+        coeff = gen_binomial(-q - HALF, p)
+        for m2, c2 in res.items():
+            vec_iadd(out, space.apply_gen(a, q, m2), coeff * c2)
+    # twist corrections: lower-weight products of the leading generator
+    # with the tail, taken inside the algebra itself
+    chi = space.charge(a)
+    if chi:
+        gen = {((-HALF, a),): Fraction(1)}
+        t = 1
+        while HALF + wt_tail - t >= 0:
+            ct = twist_correction(chi, p, t)
+            if ct:
+                prod = mode(space.algebra, gen, t - 1, {tail: Fraction(1)},
+                            check_index=False)
+                for m2, c2 in prod.items():
+                    vec_iadd(out, mode_mono(space, m2, n - p - t, w),
+                             -ct * c2)
+            t += 1
     cache[key] = out
     return out
 
 
-def mode_offset(space, u: Monomial):
-    """Coset of indices n for which u_n can act on this space, or None.
-
-    Well defined only when every embedding target of each factor has one
-    mode support; mixed supports give None (no single coset).
-    """
-    off = weight(u) - 1
-    for _, a in u:
-        supports = {space.support[k] for k, _ in space.embed[a]}
-        if len(supports) != 1:
-            return None
-        off += supports.pop()
-    return off % 1
+def mode_offset(space, u: Monomial) -> Fraction:
+    """Coset of indices n for which u_n can act on this space."""
+    return (weight(u) - 1 + sum(space.support[a] for _, a in u)) % 1
 
 
 def mode(space, u: State, n, w: State, check_index: bool = True) -> State:
@@ -122,33 +104,11 @@ def mode(space, u: State, n, w: State, check_index: bool = True) -> State:
         raise ValueError("mode requires a weight-homogeneous state")
     out: State = {}
     for um, cu in u.items():
-        if check_index:
-            off = mode_offset(space, um)
-            if off is not None and (n - off) % 1 != 0:
-                raise ValueError(f"index {n} not in the twist class of u")
+        if check_index and (n - mode_offset(space, um)) % 1 != 0:
+            raise ValueError(f"index {n} not in the twist class of u")
         for wm, cw in w.items():
             vec_iadd(out, mode_mono(space, um, n, wm), cu * cw)
     return out
-
-
-def gram_inverse(sector):
-    """Inverse of the generator Gram matrix, as a dense Fraction grid."""
-    n = len(sector.gids)
-    aug = [
-        [sector.pair(i, j) for j in range(n)]
-        + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        d = aug[col][col]
-        aug[col] = [x / d for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 class Virasoro:
@@ -156,14 +116,18 @@ class Virasoro:
 
     def __init__(self, sector):
         self.sector = sector
-        ginv = gram_inverse(sector)
+        # column i of the inverse Gram matrix solves G x = e_i; G is
+        # symmetric, so it is also row i
+        gram = [dict(sector.partners(j)) for j in sector.gids]
+        ginv = span_coordinates(gram, [{i: Fraction(1)} for i in sector.gids])
         omega: State = {}
         for i in sector.gids:
             for j in sector.gids:
-                if ginv[i][j]:
+                c = ginv[i].get(j)
+                if c:
                     m, s = normalize([(Fraction(-3, 2), i), (-HALF, j)])
                     if s:
-                        vec_iadd(omega, {m: HALF * ginv[i][j] * s})
+                        vec_iadd(omega, {m: HALF * c * s})
         self.omega = omega
 
     def L(self, space, m, w: State) -> State:

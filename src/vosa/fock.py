@@ -74,11 +74,15 @@ class Sector:
     policies.  The policies encode which half of the normal ordering the
     zero mode belongs to: 'create'/'annihilate' put it entirely on one
     side, 'split' acts as multiplication plus (e,e)/2 times the derivation
-    so the Clifford square comes out right.
+    so the Clifford square comes out right.  algebra is the Fock space
+    of the vertex algebra whose module this is (the space itself by
+    default); the twist corrections of the mode recursion act through
+    its generator states.  _mode_cache memoizes that recursion on this
+    space.
     """
 
-    def __init__(self, labels, pairing, support, zero_mode=None, embed=None,
-                 algebra=None, vstate=None):
+    def __init__(self, labels, pairing, support, zero_mode=None,
+                 algebra=None):
         self.labels = list(labels)
         self.gids = list(range(len(self.labels)))
         self.pairing = {}
@@ -93,15 +97,8 @@ class Sector:
             self.zero_mode.setdefault(
                 g, NO_ZERO if self.support[g] else ZERO_ANNIHILATE
             )
-        # how algebra generators act on this space; identity unless set
-        self.embed = embed or {g: [(g, Fraction(1))] for g in self.gids}
-        # the algebra whose module this is, and each generator of this
-        # space expressed as a state of that algebra (needed for the
-        # twist corrections in the mode recursion)
         self.algebra = algebra if algebra is not None else self
-        self.vstate = vstate or {
-            g: {((Fraction(-1, 2), g),): Fraction(1)} for g in self.gids
-        }
+        self._mode_cache: dict = {}
         self._check()
 
     def _check(self):

@@ -39,8 +39,7 @@ def symbol_degree(sym: dict):
 def check_coset(sector, sym: dict) -> bool:
     """Every index sits in the twist coset of its monomial."""
     for q, m in sym:
-        off = mode_offset(sector, m)
-        if off is not None and (q - off) % 1 != 0:
+        if (q - mode_offset(sector, m)) % 1 != 0:
             return False
     return True
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import Echelon, gen_binomial, nullspace, solve_in_span, vec_iadd
+from .exact import (Echelon, gen_binomial, mat_apply, mat_lincomb, nullspace,
+                    solve_in_span, span_coordinates, vec_iadd)
 from .fock import (
     Sector,
     State,
@@ -124,13 +125,7 @@ class OmegaSpace:
         return len(self.basis)
 
     def degrees(self) -> list:
-        return sorted(state_weight(v) for v in self.basis)
-
-    def coords(self, st: State):
-        """Coordinates of a state in the kernel basis, or None."""
-        if not st:
-            return [Fraction(0)] * self.dim
-        return solve_in_span(self.basis, st)
+        return sorted(self.space.degree(next(iter(v))) for v in self.basis)
 
 
 def o_action(space, a: State, w: State) -> State:
@@ -139,15 +134,12 @@ def o_action(space, a: State, w: State) -> State:
 
 
 def o_matrix(om: OmegaSpace, a: State):
-    """Matrix of o(a) on the kernel basis; None if it leaves the space."""
-    cols = []
-    for v in om.basis:
-        img = o_action(om.space, a, v)
-        coords = om.coords(img)
-        if coords is None:
-            return None
-        cols.append(coords)
-    return [[cols[j][i] for j in range(om.dim)] for i in range(om.dim)]
+    """Matrix of o(a) on the kernel basis as sparse columns, or None if
+    o(a) leaves the space: column y holds the coordinates of
+    o(a) om.basis[y]."""
+    cols = span_coordinates(om.basis,
+                            [o_action(om.space, a, v) for v in om.basis])
+    return None if None in cols else cols
 
 
 def zhu_rank(alg: ZhuAlgebra, omegas: list) -> int:
@@ -179,21 +171,16 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace,
     the pairs checked; o is applied to each weight component of u circ v
     and the images summed), and reports the commutant dimension of the
     image (1 means the action is simple)."""
-    mats = {}
-    for i, m in enumerate(alg.basis):
-        mat = o_matrix(om, _mono_state(m))
-        if mat is None:
-            return {"ok": False, "failure": f"o({i}) leaves the space"}
-        mats[i] = mat
-    n = om.dim
-    unit = alg.unit_coords()
-    ident = _combine(mats, unit, n)
-    if ident != [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]:
+    try:
+        mats, n = omega_umats(alg, om)
+    except ValueError as exc:
+        return {"ok": False, "failure": str(exc)}
+    if mat_lincomb(mats, alg.unit_coords(), n) != [{y: 1} for y in range(n)]:
         return {"ok": False, "failure": "o(1) is not the identity"}
     for i in range(alg.dim):
         for j in range(alg.dim):
-            lhs = _matmul(mats[i], mats[j])
-            rhs = _combine(mats, alg.star_coords(i, j), n)
+            lhs = [mat_apply(mats[i], col) for col in mats[j]]
+            rhs = mat_lincomb(mats, alg.star_coords(i, j), n)
             if lhs != rhs:
                 return {"ok": False, "failure": f"o(a)o(b)!=o(a*b) at {i},{j}"}
     # ideal elements u circ v act by zero: every v of weight <= 1 with a
@@ -219,38 +206,18 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace,
                     return {"ok": False,
                             "failure": "o of an ideal element is nonzero"}
             count += 1
-    # commutant of the image
-    flat_rows = []
-    for x in range(n):
-        for y in range(n):
-            img: dict = {}
-            for i, mat in mats.items():
-                # [E_xy, o(m_i)] entries
-                for t in range(n):
-                    vec_iadd(img, {(i, x, t): mat[y][t]})
-                    vec_iadd(img, {(i, t, y): -mat[t][x]})
-            flat_rows.append(img)
+    # commutant of the image: row a*n + b holds the entries of
+    # [E_ab, o(m_i)], collected from each nonzero entry o(m_i)[r][t]
+    flat_rows = [{} for _ in range(n * n)]
+    for i, mat in enumerate(mats):
+        for t, col in enumerate(mat):
+            for r, c in col.items():
+                for a in range(n):
+                    vec_iadd(flat_rows[a * n + r], {(i, a, t): c})
+                    vec_iadd(flat_rows[t * n + a], {(i, r, a): -c})
     commutant_dim = len(nullspace(flat_rows))
     return {"ok": True, "ideal_samples": count,
             "commutant_dim": commutant_dim, "simple": commutant_dim == 1}
-
-
-def _matmul(a, b):
-    n = len(a)
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(n)), Fraction(0))
-         for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _combine(mats, coords, n):
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i, c in coords.items():
-        for x in range(n):
-            for y in range(n):
-                out[x][y] += c * mats[i][x][y]
-    return out
 
 
 def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1),
@@ -457,8 +424,11 @@ class InducedSpace(Sector):
 
     Basis elements are (symbol-monomial, j): an exterior monomial in the
     strictly-raising generator symbols applied to the j-th basis vector
-    of U.  Zero modes anticommute through the symbols and act on U by
-    the Zhu-algebra matrices; lowering modes contract against symbols by
+    of U.  umats[i][y] is the sparse column of coordinates of basis[i]
+    of the Zhu algebra acting on the y-th basis vector of U, as
+    regular_umats and omega_umats return it.  Zero modes anticommute
+    through the symbols and act on U by these matrices (column j for the
+    j-th vector); lowering modes contract against symbols by
     the Clifford pairing and annihilate U.  The mode recursion then
     gives the action of every state; the quotient relations hold because
     the zero modes already satisfy the quotient algebra's multiplication.
@@ -466,7 +436,7 @@ class InducedSpace(Sector):
     zero-mode policy, which puts every zero mode on the annihilation side.
     """
 
-    def __init__(self, alg: ZhuAlgebra, umats: dict, udim: int, max_degree):
+    def __init__(self, alg: ZhuAlgebra, umats: list, udim: int, max_degree):
         ctx = alg.ctx
         sector = ctx.sector
         super().__init__(sector.labels, sector.pairing,
@@ -476,16 +446,10 @@ class InducedSpace(Sector):
         self.udim = udim
         self.max_degree = Fraction(max_degree)
         # matrix of each generator's class, for the zero-mode action
-        self._zmat = {}
-        for g in self.gids:
-            if self.support[g] == 0:
-                coords = alg.reduce({((-HALF, g),): Fraction(1)})
-                mat = [[Fraction(0)] * udim for _ in range(udim)]
-                for i, c in coords.items():
-                    for x in range(udim):
-                        for y in range(udim):
-                            mat[x][y] += c * umats[i][x][y]
-                self._zmat[g] = mat
+        self._zmat = {
+            g: mat_lincomb(umats, alg.reduce({((-HALF, g),): Fraction(1)}),
+                           udim)
+            for g in self.gids if self.support[g] == 0}
 
     def degree(self, el):
         return weight(el[0])
@@ -497,8 +461,8 @@ class InducedSpace(Sector):
         mono, j = el
         if q == 0:
             sign = -1 if parity(mono) else 1
-            return {(mono, x): sign * row[j]
-                    for x, row in enumerate(self._zmat[gid]) if row[j]}
+            return {(mono, x): sign * c
+                    for x, c in self._zmat[gid][j].items()}
         part = (self._create(gid, q, mono) if q < 0
                 else self._contract(gid, q, mono))
         return {(m, j): c for m, c in part.items()}
@@ -511,29 +475,30 @@ class InducedSpace(Sector):
 def regular_umats(alg: ZhuAlgebra) -> tuple:
     """The algebra acting on itself by left multiplication.
 
-    mats[i][x][y] is the x coordinate of basis[i] * basis[y], read from
-    the derived left_multiplications; the plain star_coords table is the
-    reference the tests check it against.
+    mats[i][y] is the sparse column of coordinates of basis[i] * basis[y],
+    read from the derived left_multiplications; the plain star_coords
+    table is the reference the tests check it against.
     """
-    n = alg.dim
-    mats = {i: [[col.get(x, Fraction(0)) for col in left]
-                for x in range(n)]
-            for i, left in enumerate(alg.left_multiplications())}
-    return mats, n
+    return alg.left_multiplications(), alg.dim
 
 
 def omega_umats(alg: ZhuAlgebra, om: OmegaSpace) -> tuple:
-    """The zero-mode matrices of a lowest-weight space as a seed module."""
-    mats = {}
-    for i, m in enumerate(alg.basis):
+    """The zero-mode matrices of a lowest-weight space as a seed module.
+
+    mats[i][y] is the sparse column of coordinates of o(basis[i]) applied
+    to om.basis[y] (o_matrix).  Raises ValueError if a zero mode leaves
+    the kernel space.
+    """
+    mats = []
+    for m in alg.basis:
         mat = o_matrix(om, _mono_state(m))
         if mat is None:
             raise ValueError("zero modes leave the kernel space")
-        mats[i] = mat
+        mats.append(mat)
     return mats, om.dim
 
 
-def induce_truncated(alg: ZhuAlgebra, umats: dict, udim: int,
+def induce_truncated(alg: ZhuAlgebra, umats: list, udim: int,
                      max_degree) -> dict:
     """Induce a twisted module from a Zhu-algebra module and validate it.
 
@@ -546,10 +511,9 @@ def induce_truncated(alg: ZhuAlgebra, umats: dict, udim: int,
                 "omega_is_seed": True}
     space = InducedSpace(alg, umats, udim, max_degree)
     om = OmegaSpace(space, max_degree)
-    deg0 = all(space.degree(el) == 0 for v in om.basis for el in v)
     return {
         "space": space,
         "graded_dims": space.graded_dims(max_degree),
         "omega_dim": om.dim,
-        "omega_is_seed": deg0 and om.dim == udim,
+        "omega_is_seed": not any(om.degrees()) and om.dim == udim,
     }

@@ -18,8 +18,9 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .exact import (Echelon, charpoly_from_power_sums, gen_binomial,
-                    poly_derivative, poly_gcd, solve_in_span,
-                    span_coordinates, squarefree_decomposition, vec_iadd)
+                    mat_apply, mat_lincomb, poly_derivative, poly_gcd,
+                    solve_in_span, span_coordinates, squarefree_decomposition,
+                    vec_iadd)
 from .fock import (
     Monomial,
     Sector,
@@ -286,8 +287,8 @@ class ZhuAlgebra:
             for g in gens:
                 for h in gens:
                     for j in range(n):
-                        if (_apply(left[g], right[h][j])
-                                != _apply(right[h], left[g][j])):
+                        if (mat_apply(left[g], right[h][j])
+                                != mat_apply(right[h], left[g][j])):
                             raise RuntimeError(
                                 "left and right multiplications by "
                                 "generator classes do not commute")
@@ -313,23 +314,23 @@ class ZhuAlgebra:
             ech = Echelon()
             words = []  # (coordinates, left multiplication) of kept words
             if ech.add(unit):
-                words.append((unit, _lincomb(left, unit, self.dim)))
+                words.append((unit, mat_lincomb(left, unit, self.dim)))
             k = 0
             while k < len(words) and ech.rank < self.dim:
                 coords, mat = words[k]
                 k += 1
                 for g in steps:
-                    new = _apply(left[g], coords)
+                    new = mat_apply(left[g], coords)
                     if ech.add(new):
-                        words.append((new, [_apply(left[g], col)
-                                            for col in mat]))
+                        words.append((new, [mat_apply(left[g], col)
+                                               for col in mat]))
             if ech.rank < self.dim:
                 raise ValueError("the generator classes do not span "
                                  "the truncation")
             units = [{i: Fraction(1)} for i in range(self.dim)]
             mats = [mat for _, mat in words]
             self._left = [
-                _lincomb(mats, a, self.dim)
+                mat_lincomb(mats, a, self.dim)
                 for a in span_coordinates([c for c, _ in words], units)]
         return self._left
 
@@ -345,23 +346,6 @@ def stabilized(ctx: TwistContext, max_weight, margin=Fraction(1)):
     a = ZhuAlgebra(ctx, max_weight, margin)
     b = ZhuAlgebra(ctx, a.max_weight + HALF, margin, _below=a)
     return a, b, a.basis == b.basis
-
-
-def _apply(mat: list, vec: dict) -> dict:
-    """A matrix of sparse columns applied to a sparse vector."""
-    out: dict = {}
-    for j, c in vec.items():
-        vec_iadd(out, mat[j], c)
-    return out
-
-
-def _lincomb(mats, coords: dict, n: int) -> list:
-    """sum coords[i] mats[i], column by column."""
-    cols = [{} for _ in range(n)]
-    for i, c in coords.items():
-        for col, src in zip(cols, mats[i]):
-            vec_iadd(col, src, c)
-    return cols
 
 
 def center_basis(alg: ZhuAlgebra) -> list[dict]:
@@ -419,7 +403,7 @@ def _minimal_polynomial(mat: list, unit: dict) -> list:
     mat, from its powers applied to the unit; low degree first."""
     powers = [unit]
     while True:
-        nxt = _apply(mat, powers[-1])
+        nxt = mat_apply(mat, powers[-1])
         coords = solve_in_span(powers, nxt)
         if coords is not None:
             return [-c for c in coords] + [Fraction(1)]
@@ -443,7 +427,7 @@ def separating_element(left: list, zc: list[dict], unit: dict) -> tuple:
         z: dict = {}
         for i, v in enumerate(zc):
             vec_iadd(z, v, Fraction(c) ** i)
-        lz = _lincomb(left, z, len(left))
+        lz = mat_lincomb(left, z, len(left))
         minpoly = _minimal_polynomial(lz, unit)
         if len(minpoly) - 1 == k:
             return lz, minpoly
@@ -476,7 +460,7 @@ def block_profile(alg: ZhuAlgebra) -> dict:
               for mat in left]
     power, sums = unit, []
     for _ in range(n):
-        power = _apply(lz, power)
+        power = mat_apply(lz, power)
         sums.append(sum((traces[t] * x for t, x in power.items()),
                         Fraction(0)))
     parts = squarefree_decomposition(charpoly_from_power_sums(sums))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vosa.exact import Echelon
+from vosa.exact import Echelon, vec_iadd
 from vosa.fields import Virasoro
 from vosa.fock import ZERO_ANNIHILATE, ZERO_CREATE, ZERO_SPLIT
 from vosa.modules import (Contragredient, InducedSpace, OmegaSpace,
@@ -318,16 +318,45 @@ def test_induction_from_regular_module():
                   id=f"sigma{l}") for l in (1, 2, 3, 4)]
     + [pytest.param(ctx_tau(), Fraction(2), id="tau")]))
 def test_regular_seed_matches_star_table(ctx, w):
-    # the seed is read from the derived left multiplications; entry
-    # [x][y] of basis[i]'s matrix is the x coordinate of basis[i] * basis[y]
-    # in the plain table (not its transpose, which is a right action)
+    # the seed is read from the derived left multiplications; entry x of
+    # column y of basis[i]'s matrix is the x coordinate of
+    # basis[i] * basis[y] in the plain table (not basis[y] * basis[i],
+    # which is a right action)
     alg = ZhuAlgebra(ctx, w)
     mats, udim = regular_umats(alg)
-    assert udim == alg.dim and sorted(mats) == list(range(alg.dim))
-    for i, mat in mats.items():
+    assert udim == alg.dim and len(mats) == alg.dim
+    for i, mat in enumerate(mats):
         for x in range(alg.dim):
             for y in range(alg.dim):
-                assert mat[x][y] == alg.star_coords(i, y).get(x, 0)
+                assert mat[y].get(x, 0) == alg.star_coords(i, y).get(x, 0)
+
+
+def _ctx_order_four():
+    # g = i on b and -i on B: module modes on Z + 3/4 and Z + 1/4
+    from vosa.fock import ns_polarized
+    from vosa.zhu import TwistContext
+
+    return TwistContext("order4", ns_polarized(2), 4, 4, {0: 1, 1: 3},
+                        {0: 3, 1: 1})
+
+
+@pytest.mark.parametrize("ctx", (
+    [pytest.param(ctx_sigma(l), id=f"sigma{l}") for l in (1, 2, 3, 4)]
+    + [pytest.param(ctx_tau(), id="tau"),
+       pytest.param(_ctx_order_four(), id="order4")]))
+def test_omega_umats_match_the_zero_mode_action(ctx):
+    # column y of basis[i]'s sparse matrix, expanded in the kernel basis,
+    # is o(basis[i]) applied to the y-th kernel vector
+    rep = certified_zhu(ctx, Fraction(2))
+    alg, om = rep["algebra"], rep["omega"]
+    mats, udim = omega_umats(alg, om)
+    assert udim == om.dim > 0 and len(mats) == alg.dim
+    for i, mat in enumerate(mats):
+        for y, col in enumerate(mat):
+            img: dict = {}
+            for x, c in col.items():
+                vec_iadd(img, om.basis[x], c)
+            assert img == o_action(om.space, {alg.basis[i]: ONE}, om.basis[y])
 
 
 def test_induced_space_commutator_identity():
@@ -366,17 +395,14 @@ def test_induced_graded_dims_match_oracle(name, seed):
     oracle = graded_dim_oracle(len(offsets), offsets, depth)
     assert res["graded_dims"] == {d: udim * n for d, n in oracle.items()}
     assert res["omega_is_seed"]
+    assert OmegaSpace(res["space"], depth).degrees() == [0] * udim
 
 
 def test_induction_under_an_order_four_twist():
     # g = i on b and -i on B puts the module modes on Z + 3/4 and Z + 1/4,
     # off the half-integer grid; induction from the one-dimensional
     # Zhu algebra must still rebuild the twisted module
-    from vosa.fock import ns_polarized
-    from vosa.zhu import TwistContext
-
-    ctx = TwistContext("order4", ns_polarized(2), 4, 4, {0: 1, 1: 3},
-                       {0: 3, 1: 1})
+    ctx = _ctx_order_four()
     rep = certified_zhu(ctx, Fraction(2))
     assert rep["certified"] and rep["dim_upper"] == 1
     umats, udim = omega_umats(rep["algebra"], rep["omega"])

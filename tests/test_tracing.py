@@ -4,9 +4,10 @@ perfbench/spans.py patches vosa's functions and methods by name from
 outside the package, so a refactor that renames or deletes one of them
 breaks the traced benchmark run without failing any other test.  The
 traced jobs are the benchmark's set-up job and a small copy of its
-module-side job (certification, Omega, induction), so a change to how
-those layers are called is caught here too.  The tracer is installed in
-a fresh interpreter, because it patches the package in place.
+module-side job (certification, Omega, induction, a commutator check),
+so a change to how those layers are called is caught here too.  The
+tracer is installed in a fresh interpreter, because it patches the
+package in place.
 """
 
 import json
@@ -35,7 +36,12 @@ def represent_tau():
     om = m.OmegaSpace(m.twisted_module(ctx), Fraction(2))
     umats, udim = m.omega_umats(rep["algebra"], rep["omega"])
     res = m.induce_truncated(rep["algebra"], umats, udim, Fraction(2))
-    return [om.dim, res["omega_is_seed"]]
+    # one twisted-commutator check: its products u_i v are taken in the
+    # algebra's own space, so that space's mode cache is read too
+    vir = vosa.fields.Virasoro(ctx.sector)
+    comm = vosa.fields.verify_commutator(
+        om.space, vir.omega, vir.omega, [(1, 0, {(): Fraction(1)})])
+    return [om.dim, res["omega_is_seed"], comm["ok"]]
 
 
 shape = tracer.run_job("represent_tau", represent_tau)
@@ -52,11 +58,14 @@ def test_tracer_installs_and_runs_warm_up():
         capture_output=True, text=True, timeout=120, check=True)
     out = json.loads(proc.stdout)
     assert out["found"] == []
-    assert out["shape"] == [2, True]
+    assert out["shape"] == [2, True, True]
     for name in ("zhu.build", "zhu.relations", "zhu.second_cutoff",
                  "fields.mode", "fock.basis", "modules.certify",
                  "zhu.blocks", "modules.omega", "modules.induce",
                  "modules.zhu_rank", "exact.nullspace"):
         assert out["calls"].get(name, 0) > 0, name
     assert out["counts"].get("fields.mode_cache_module_entries", 0) > 0
+    # the algebra-side caches are counted too, not only the module ones
+    assert (out["counts"]["fields.mode_cache_entries"]
+            > out["counts"]["fields.mode_cache_module_entries"])
     assert out["counts"].get("zhu.relations_generated", 0) > 0
