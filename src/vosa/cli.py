@@ -189,7 +189,7 @@ def _suite_jacobi(ctx, args) -> dict:
     vir = Virasoro(sector)
     gens = [{((Fraction(-1, 2), g),): Fraction(1)} for g in sector.gids]
     checked = 0
-    supp = {g: ctx.module_support(g) for g in sector.gids}
+    supp = ctx.support
     targets = [{m: Fraction(1)} for m in space.basis(Fraction(3, 2))]
     for gi, u in enumerate(gens):
         for gj, v in enumerate(gens):
@@ -263,8 +263,7 @@ def _suite_lie(ctx, args) -> dict:
     sector = ctx.sector
     targets = [{m: Fraction(1)} for m in space.basis(Fraction(1))]
     gens = [{((Fraction(-1, 2), g),): Fraction(1)} for g in sector.gids]
-    supp = {g: ctx.module_support(g) for g in sector.gids}
-    syms = [symbol(u, supp[g] - Fraction(1, 2) + 1)
+    syms = [symbol(u, ctx.support[g] - Fraction(1, 2) + 1)
             for g, u in enumerate(gens)]
     for x in syms:
         for y in syms:
@@ -281,11 +280,14 @@ def _suite_omega(ctx, args) -> dict:
     from .modules import certified_zhu, zhu_action_report
 
     rep = certified_zhu(ctx, args.max_weight, args.margin)
+    if not rep["certified"]:
+        # an uncertified truncation need not close under the star
+        # product, so the action checks are not run on it
+        return {"ok": False, "details": {"omega_dim": rep["omega"].dim,
+                                         "certified": False}}
     act = zhu_action_report(rep["algebra"], rep["omega"])
-    ok = act["ok"] and rep["certified"]
-    return {"ok": ok, "details": {"omega_dim": rep["omega"].dim,
-                                  "action": act, "certified":
-                                  rep["certified"]}}
+    return {"ok": act["ok"], "details": {"omega_dim": rep["omega"].dim,
+                                         "action": act, "certified": True}}
 
 
 SUITES = {
@@ -365,25 +367,33 @@ def cmd_induce(args) -> int:
 
     ctx = _context(args)
     rep = certified_zhu(ctx, args.max_weight, args.margin)
-    alg = rep["algebra"]
-    if args.seed == "regular":
-        umats, udim = regular_umats(alg)
-    else:
-        umats, udim = omega_umats(alg, rep["omega"])
-    res = induce_truncated(alg, umats, udim, args.depth)
     result = {
         "schema": SCHEMA,
         "command": "induce",
         "twist": args.twist,
         "l": args.l,
         "seed": args.seed,
-        "seed_dim": udim,
-        "graded_dims": {str(k): v
-                        for k, v in sorted(res["graded_dims"].items())},
-        "omega_is_seed": res["omega_is_seed"],
+        "certified": rep["certified"],
+        "seed_dim": None,
+        "graded_dims": None,
+        "omega_is_seed": None,
     }
+    if rep["certified"]:
+        # an uncertified truncation is not a module for A_g(V), so it
+        # seeds no induction
+        alg = rep["algebra"]
+        if args.seed == "regular":
+            umats, udim = regular_umats(alg)
+        else:
+            umats, udim = omega_umats(alg, rep["omega"])
+        res = induce_truncated(alg, umats, udim, args.depth)
+        result.update(
+            seed_dim=udim,
+            graded_dims={str(k): v
+                         for k, v in sorted(res["graded_dims"].items())},
+            omega_is_seed=res["omega_is_seed"])
     _emit(result, args)
-    return EXIT_OK if res["omega_is_seed"] else EXIT_UNCERTIFIED
+    return EXIT_OK if result["omega_is_seed"] else EXIT_UNCERTIFIED
 
 
 def _add_common(p) -> None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import gen_binomial, vec_iadd
 from .fock import State, state_weight
-from .fields import mode, mode_offset, state_parity
+from .fields import Virasoro, mode, mode_offset, state_parity
 
 # a symbol combination is a dict {(index, mono): Fraction}; each key is
 # one basis mode symbol (monomial, index), grouped sparsely
@@ -135,12 +135,13 @@ def verify_degree_additive(sector, x: dict, y: dict) -> bool:
     return symbol_degree(br) == dx + dy
 
 
-def verify_o_kernel(space, virasoro, a: State, targets) -> dict:
+def verify_o_kernel(space, a: State, targets) -> dict:
     """o((L(-1) + L(0)) a) acts by zero on every twisted module."""
     alg = space.algebra
+    omega = Virasoro(alg).omega
     st: State = {}
-    vec_iadd(st, mode(alg, virasoro.omega, 0, a))          # L(-1) a
-    vec_iadd(st, mode(alg, virasoro.omega, 1, a))          # L(0) a
+    vec_iadd(st, mode(alg, omega, 0, a))          # L(-1) a
+    vec_iadd(st, mode(alg, omega, 1, a))          # L(0) a
     if not st:
         return {"ok": True, "checked": 0}
     # the sum is inhomogeneous; o applies to each weight piece

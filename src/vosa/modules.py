@@ -46,7 +46,7 @@ def _zero_mode_policies(ctx: TwistContext) -> dict:
     sector = ctx.sector
     policies = {}
     for g in sector.gids:
-        if ctx.module_support(g) != 0:
+        if ctx.support[g] != 0:
             continue
         if sector.pair(g, g):
             policies[g] = ZERO_SPLIT
@@ -59,10 +59,9 @@ def _zero_mode_policies(ctx: TwistContext) -> dict:
 def twisted_module(ctx: TwistContext) -> Sector:
     """The canonical Fock-type g-twisted module of the context."""
     sector = ctx.sector
-    support = {g: ctx.module_support(g) for g in sector.gids}
-    if all(support[g] == HALF for g in sector.gids):
+    if all(s == HALF for s in ctx.support.values()):
         return sector  # untwisted: the algebra is its own module
-    return Sector(sector.labels, sector.pairing, support,
+    return Sector(sector.labels, sector.pairing, ctx.support,
                   zero_mode=_zero_mode_policies(ctx), algebra=sector)
 
 
@@ -91,12 +90,10 @@ class OmegaSpace:
     a nonzero image raises RuntimeError.
     """
 
-    def __init__(self, space, max_degree, virasoro: Virasoro | None = None):
+    def __init__(self, space, max_degree):
         self.space = space
         self.max_degree = Fraction(max_degree)
-        if virasoro is None:
-            virasoro = Virasoro(space.algebra)
-        self.virasoro = virasoro
+        virasoro = Virasoro(space.algebra)
         self.basis: list[State] = []
         by_deg = space.basis_by_degree(self.max_degree)
         for d in sorted(by_deg):
@@ -133,15 +130,6 @@ def o_action(space, a: State, w: State) -> State:
     return mode(space, a, state_weight(a) - 1, w, check_index=False)
 
 
-def o_matrix(om: OmegaSpace, a: State):
-    """Matrix of o(a) on the kernel basis as sparse columns, or None if
-    o(a) leaves the space: column y holds the coordinates of
-    o(a) om.basis[y]."""
-    cols = span_coordinates(om.basis,
-                            [o_action(om.space, a, v) for v in om.basis])
-    return None if None in cols else cols
-
-
 def zhu_rank(alg: ZhuAlgebra, omegas: list) -> int:
     """Rank of the joint zero-mode representation on the kernel spaces.
 
@@ -162,8 +150,7 @@ def zhu_rank(alg: ZhuAlgebra, omegas: list) -> int:
     return rank
 
 
-def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace,
-                      o_samples: int = 20) -> dict:
+def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace) -> dict:
     """Exact checks that Omega(M) is a module for the quotient algebra.
 
     Verifies o(1) = id, o(a)o(b) = o(a star b) for all table pairs,
@@ -184,11 +171,11 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace,
             if lhs != rhs:
                 return {"ok": False, "failure": f"o(a)o(b)!=o(a*b) at {i},{j}"}
     # ideal elements u circ v act by zero: every v of weight <= 1 with a
-    # nonzero circ, for the first o_samples nonempty u; o extends
+    # nonzero circ, for the first 20 nonempty u; o extends
     # linearly over the weight components of an inhomogeneous circ
     count = 0
     ctx = alg.ctx
-    us = [u for u in ctx.sector.basis(Fraction(2)) if u][:o_samples]
+    us = [u for u in ctx.sector.basis(Fraction(2)) if u][:20]
     vs = ctx.sector.basis(Fraction(1))
     for u in us:
         for v in vs:
@@ -220,20 +207,19 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace,
             "commutant_dim": commutant_dim, "simple": commutant_dim == 1}
 
 
-def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1),
-                  omega_degree=Fraction(1)) -> dict:
+def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1)) -> dict:
     """Full certification: stabilized upper bound against zero-mode rank.
 
     The upper bound is the echelon quotient by the relations u circ v
     with u a generator mode, plus the twist-odd monomials (o_relations);
     the lower bound is the rank of the zero-mode action on Omega(M) of
-    the twisted module.  Certified means the bounds meet, the basis is
-    the same at max_weight and max_weight + 1/2, and the guard band is
-    covered.
+    the twisted module, computed to degree 1.  Certified means the bounds
+    meet, the basis is the same at max_weight and max_weight + 1/2, and
+    the guard band is covered.
     """
     alg, _, stable = stabilized(ctx, max_weight, margin)
     space = twisted_module(ctx)
-    om = OmegaSpace(space, omega_degree)
+    om = OmegaSpace(space, Fraction(1))
     lower = zhu_rank(alg, [om])
     certified = stable and alg.high_covered and lower == alg.dim
     return {
@@ -286,10 +272,11 @@ class ParitySubmodule:
         cand = [v for v in self.basis if state_weight(v) in deg]
         return solve_in_span(cand, st) is not None
 
-    def check_invariance(self, test_weight=Fraction(1)) -> bool:
-        """Every generator mode keeps the subspace inside itself."""
+    def check_invariance(self) -> bool:
+        """Every generator mode keeps the subspace inside itself, tested
+        on the basis vectors of weight <= 1."""
         for v in self.basis:
-            if state_weight(v) > test_weight:
+            if state_weight(v) > 1:
                 continue
             for g in self.space.gids:
                 qs = list(self.space.left_modes(g, -1)) + \
@@ -334,10 +321,10 @@ class Contragredient:
     as coefficient dicts against the primal monomial basis.
     """
 
-    def __init__(self, space, max_degree, virasoro: Virasoro | None = None):
+    def __init__(self, space, max_degree):
         self.space = space
         self.max_degree = Fraction(max_degree)
-        self.vir = virasoro or Virasoro(space.algebra)
+        self.vir = Virasoro(space.algebra)
         self.by_degree = space.basis_by_degree(self.max_degree)
 
     def graded_dims(self) -> dict:
@@ -439,8 +426,7 @@ class InducedSpace(Sector):
     def __init__(self, alg: ZhuAlgebra, umats: list, udim: int, max_degree):
         ctx = alg.ctx
         sector = ctx.sector
-        super().__init__(sector.labels, sector.pairing,
-                         {g: ctx.module_support(g) for g in sector.gids},
+        super().__init__(sector.labels, sector.pairing, ctx.support,
                          algebra=sector)
         self.alg = alg
         self.udim = udim
@@ -486,13 +472,15 @@ def omega_umats(alg: ZhuAlgebra, om: OmegaSpace) -> tuple:
     """The zero-mode matrices of a lowest-weight space as a seed module.
 
     mats[i][y] is the sparse column of coordinates of o(basis[i]) applied
-    to om.basis[y] (o_matrix).  Raises ValueError if a zero mode leaves
-    the kernel space.
+    to om.basis[y].  Raises ValueError if a zero mode leaves the kernel
+    space.
     """
     mats = []
     for m in alg.basis:
-        mat = o_matrix(om, _mono_state(m))
-        if mat is None:
+        mat = span_coordinates(
+            om.basis, [o_action(om.space, _mono_state(m), v)
+                       for v in om.basis])
+        if None in mat:
             raise ValueError("zero modes leave the kernel space")
         mats.append(mat)
     return mats, om.dim

@@ -35,40 +35,35 @@ HALF = Fraction(1, 2)
 
 
 class TwistContext:
-    """An order-T0 automorphism g diagonal on the sector's generators.
+    """A finite-order automorphism g diagonal on the sector's generators.
 
-    g_exp[gid] is the exponent r with g acting by exp(2*pi*i*r/T0) on the
-    generator; gs_exp[gid] likewise for g*sigma with order T.  Monomial
-    exponents add.  All Zhu-side data (delta, binomial exponents, the
-    allowed module mode cosets) derive from these.
+    support[gid] is the fractional part of the generator's mode labels on
+    g-twisted modules, in [0, 1): g acts on the generator by
+    exp(2*pi*i*(support[gid] - 1/2)) and g*sigma by
+    exp(2*pi*i*support[gid]).  Monomial exponents add, and all Zhu-side
+    data (delta, the binomial exponents, the module mode cosets) derive
+    from support.  g must preserve the pairing: support[i] + support[j]
+    is an integer for every paired (i, j), otherwise ValueError.
     """
 
-    def __init__(self, name: str, sector: Sector, T0: int, T: int,
-                 g_exp: dict, gs_exp: dict):
+    def __init__(self, name: str, sector: Sector, support: dict):
         self.name = name
         self.sector = sector
-        self.T0 = T0
-        self.T = T
-        self.g_exp = dict(g_exp)
-        self.gs_exp = dict(gs_exp)
-        for g in sector.gids:
-            want = (Fraction(self.g_exp[g], T0) + HALF) % 1
-            have = Fraction(self.gs_exp[g], T) % 1
-            if want != have:
-                raise ValueError("g and g*sigma exponents disagree")
+        self.support = {g: Fraction(support[g]) % 1 for g in sector.gids}
+        for i, j in sector.pairing:
+            if (self.support[i] + self.support[j]).denominator != 1:
+                raise ValueError("the twist does not preserve the pairing")
 
-    def rstar(self, mono: Monomial) -> int:
-        return sum(self.gs_exp[a] for _, a in mono) % self.T
-
-    def r(self, mono: Monomial) -> int:
-        return sum(self.g_exp[a] for _, a in mono) % self.T0
+    def rstar(self, mono: Monomial) -> Fraction:
+        """The g*sigma exponent of a monomial, in [0, 1)."""
+        return sum((self.support[a] for _, a in mono), Fraction(0)) % 1
 
     def delta(self, mono: Monomial) -> int:
         return 1 if self.rstar(mono) == 0 else 0
 
     def module_support(self, gid: int) -> Fraction:
         """Fractional part of the twisted-module mode labels of a generator."""
-        return (Fraction(self.g_exp[gid], self.T0) + HALF) % 1
+        return self.support[gid]
 
     def _homogeneous(self, u: State):
         ws = {weight(m) for m in u}
@@ -107,7 +102,7 @@ class TwistContext:
             raise ValueError("need m >= n >= 0")
         wu, rs = self._homogeneous(u)
         d = 1 if rs == 0 else 0
-        alpha = wu - 1 + d + Fraction(rs, self.T) + n
+        alpha = wu - 1 + d + rs + n
         return self._residue_sum(u, wu, v, alpha, m + d + 1)
 
 
@@ -115,17 +110,13 @@ def ctx_sigma(l: int) -> TwistContext:
     """g = sigma itself: g*sigma = 1, so the whole algebra is untwisted
     for the star grading while modules live on integer mode labels."""
     sector = ns_polarized(l)
-    g = {i: 1 for i in sector.gids}
-    gs = {i: 0 for i in sector.gids}
-    return TwistContext("sigma", sector, 2, 1, g, gs)
+    return TwistContext("sigma", sector, dict.fromkeys(sector.gids, 0))
 
 
 def ctx_identity(l: int) -> TwistContext:
     """g = 1: the parity automorphism alone grades the Zhu products."""
     sector = ns_polarized(l)
-    g = {i: 0 for i in sector.gids}
-    gs = {i: 1 for i in sector.gids}
-    return TwistContext("id", sector, 1, 2, g, gs)
+    return TwistContext("id", sector, dict.fromkeys(sector.gids, HALF))
 
 
 def ctx_tau() -> TwistContext:
@@ -135,7 +126,7 @@ def ctx_tau() -> TwistContext:
     """
     sector = Sector(["u", "v"], {(0, 0): Fraction(2), (1, 1): Fraction(-2)},
                     {0: HALF, 1: HALF})
-    return TwistContext("tau", sector, 2, 2, {0: 1, 1: 0}, {0: 0, 1: 1})
+    return TwistContext("tau", sector, {0: 0, 1: HALF})
 
 
 def _mono_state(m: Monomial) -> State:

@@ -80,8 +80,26 @@ def test_induce_command(tmp_path):
     code, data = run(tmp_path, "induce", "--l", "2", "--twist", "sigma",
                      "--max-weight", "5/2", "--depth", "3/2")
     assert code == EXIT_OK
-    assert data["omega_is_seed"]
+    assert data["certified"] and data["omega_is_seed"]
     assert data["graded_dims"]["0"] == 2
+
+
+@pytest.mark.parametrize("seed", ["omega", "regular"])
+def test_induce_refuses_an_uncertified_algebra(tmp_path, seed):
+    # sigma4 at cutoff 3/2 does not stabilize (dim 15 there, 16 in truth)
+    code, data = run(tmp_path, "induce", "--l", "4", "--max-weight", "3/2",
+                     "--seed", seed)
+    assert code == EXIT_UNCERTIFIED
+    assert data["certified"] is False
+    assert data["seed_dim"] is None and data["graded_dims"] is None
+    assert data["omega_is_seed"] is None
+
+
+def test_omega_suite_reports_an_uncertified_algebra(tmp_path):
+    code, data = run(tmp_path, "verify", "--suite", "omega", "--l", "3",
+                     "--max-weight", "1")
+    assert code == EXIT_UNCERTIFIED
+    assert data["ok"] is False and data["details"]["certified"] is False
 
 
 def test_error_exit_code(tmp_path, capsys):

@@ -95,7 +95,7 @@ def test_jacobi_on_pair_swap_module():
 def test_o_kernel_acts_by_zero():
     quad = {((-Fraction(3, 2), 0), (-H, 1)): ONE}
     for a in (gen(0), gen(1), VIR.omega, quad):
-        rep = verify_o_kernel(SPACE, VIR, a, TARGETS)
+        rep = verify_o_kernel(SPACE, a, TARGETS)
         assert rep["ok"]
 
 

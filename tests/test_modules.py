@@ -197,7 +197,7 @@ def test_odd_rank_parity_submodules(sign):
     ctx = ctx_sigma(1)
     M = twisted_module(ctx)
     sub = ParitySubmodule(M, 0, sign, Fraction(2))
-    assert sub.check_invariance(Fraction(1))
+    assert sub.check_invariance()
     dims = sub.graded_dims()
     assert dims[Fraction(0)] == 1
     assert len(sub.omega_basis(Fraction(1))) == 1
@@ -218,7 +218,7 @@ def test_tau_parity_submodules():
     M = twisted_module(ctx_tau())
     for sign in (1, -1):
         sub = ParitySubmodule(M, 0, sign, Fraction(2))
-        assert sub.check_invariance(Fraction(1))
+        assert sub.check_invariance()
         assert len(sub.omega_basis(Fraction(1))) == 1
 
 
@@ -336,8 +336,8 @@ def _ctx_order_four():
     from vosa.fock import ns_polarized
     from vosa.zhu import TwistContext
 
-    return TwistContext("order4", ns_polarized(2), 4, 4, {0: 1, 1: 3},
-                        {0: 3, 1: 1})
+    return TwistContext("order4", ns_polarized(2),
+                        {0: Fraction(3, 4), 1: Fraction(1, 4)})
 
 
 @pytest.mark.parametrize("ctx", (

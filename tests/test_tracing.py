@@ -3,9 +3,10 @@
 perfbench/spans.py patches vosa's functions and methods by name from
 outside the package, so a refactor that renames or deletes one of them
 breaks the traced benchmark run without failing any other test.  The
-traced jobs are the benchmark's set-up job and a small copy of its
-module-side job (certification, Omega, induction, a commutator check),
-so a change to how those layers are called is caught here too.  The
+traced jobs are the benchmark's set-up job, its own module-side job for
+tau, and a small copy of that job (certification, Omega, induction, a
+commutator check) whose shape and counters the test reads, so a change
+to how those layers are called is caught here too.  The
 tracer is installed in a fresh interpreter, because it patches the
 package in place.
 """
@@ -45,6 +46,8 @@ def represent_tau():
 
 
 shape = tracer.run_job("represent_tau", represent_tau)
+bench_tau = dict(workloads.represent(1))["tau"]
+found += tracer.run_job("tau", lambda: bench_tau(vosa))
 print(json.dumps({"found": found, "shape": shape,
                   "calls": dict(tracer.calls),
                   "counts": dict(tracer.counts)}))

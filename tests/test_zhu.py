@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from vosa.exact import vec_iadd
 from vosa.fields import Virasoro
-from vosa.zhu import (ZhuAlgebra, block_profile, center_basis, ctx_identity,
-                      ctx_sigma, ctx_tau, separating_element, stabilized,
-                      trace_form_radical_dim)
+from vosa.fock import ns_polarized
+from vosa.modules import twisted_module
+from vosa.zhu import (TwistContext, ZhuAlgebra, block_profile, center_basis,
+                     ctx_identity, ctx_sigma, ctx_tau, separating_element,
+                     stabilized, trace_form_radical_dim)
 
 H = Fraction(1, 2)
 ONE = Fraction(1)
@@ -86,6 +88,38 @@ def test_reduction_family_requires_m_ge_n():
     ctx = ctx_sigma(2)
     with pytest.raises(ValueError):
         ctx.reduction_family(gen(0), gen(1), 0, 1)
+
+
+# ------------------------------------------------------------ twist data
+# (context, T0, T, g_exp, gs_exp): the order of g, the order of g*sigma
+# and the exponents r with g (resp. g*sigma) acting on a generator by
+# exp(2 pi i r / T0) (resp. / T), as the contexts were once written
+_OLD_TWIST_DATA = (
+    [pytest.param(ctx_sigma(l), 2, 1, [1] * l, [0] * l, id=f"sigma{l}")
+     for l in (1, 2, 3, 4)]
+    + [pytest.param(ctx_identity(l), 1, 2, [0] * l, [1] * l, id=f"id{l}")
+       for l in (1, 2, 3)]
+    + [pytest.param(ctx_tau(), 2, 2, [1, 0], [0, 1], id="tau"),
+       pytest.param(TwistContext("order4", ns_polarized(2),
+                                 {0: Fraction(3, 4), 1: Fraction(1, 4)}),
+                    4, 4, [1, 3], [3, 1], id="order4")])
+
+
+@pytest.mark.parametrize("ctx,T0,T,g_exp,gs_exp", _OLD_TWIST_DATA)
+def test_support_reproduces_the_exponent_data(ctx, T0, T, g_exp, gs_exp):
+    for g in ctx.sector.gids:
+        assert ctx.module_support(g) == (Fraction(g_exp[g], T0) + H) % 1
+    for m in ctx.sector.basis(Fraction(2)):
+        assert ctx.rstar(m) == Fraction(sum(gs_exp[a] for _, a in m), T) % 1
+    assert twisted_module(ctx).support == ctx.support
+
+
+def test_twist_must_preserve_the_pairing():
+    # g multiplies b and B by -i each, so (b, B) changes sign; the
+    # contexts of test_support_reproduces_the_exponent_data all pass
+    with pytest.raises(ValueError):
+        TwistContext("bad", ns_polarized(2), {0: Fraction(1, 4),
+                                             1: Fraction(1, 4)})
 
 
 # ------------------------------------------------------------- dimensions
