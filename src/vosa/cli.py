@@ -213,40 +213,21 @@ def _suite_zhu_axioms(ctx, args) -> dict:
     from .fields import Virasoro
 
     alg = ZhuAlgebra(ctx, args.max_weight, args.margin)
-    assoc = alg.check_associative()
-    vir = Virasoro(ctx.sector)
-    wcl = alg.reduce(vir.omega)
-    central = all(
-        _commutes(alg, wcl, i) for i in range(alg.dim)
-    )
-    unit = alg.unit_coords()
-    unit_ok = _is_unit(alg, unit)
+    basis = [{i: 1} for i in range(alg.dim)]
+    try:
+        assoc = alg.check_associative()
+        wcl = alg.reduce(Virasoro(ctx.sector).omega)
+        central = all(alg.product(wcl, e) == alg.product(e, wcl)
+                      for e in basis)
+        unit = alg.unit_coords()
+        unit_ok = all(alg.product(unit, e) == e == alg.product(e, unit)
+                      for e in basis)
+    except ValueError as exc:
+        # a truncation that does not close lets a class escape it
+        return {"ok": False, "details": {"failure": str(exc)}}
     ok = assoc and central and unit_ok
     return {"ok": ok, "details": {"associative": assoc, "omega_central":
                                   central, "unit": unit_ok}}
-
-
-def _commutes(alg, coords, i) -> bool:
-    from .exact import vec_iadd
-
-    lhs: dict = {}
-    for t, c in coords.items():
-        vec_iadd(lhs, alg.star_coords(t, i), c)
-        vec_iadd(lhs, alg.star_coords(i, t), -c)
-    return not lhs
-
-
-def _is_unit(alg, unit) -> bool:
-    from .exact import vec_iadd
-
-    for i in range(alg.dim):
-        acc: dict = {}
-        for t, c in unit.items():
-            vec_iadd(acc, alg.star_coords(t, i), c)
-        vec_iadd(acc, {i: Fraction(-1)})
-        if acc:
-            return False
-    return True
 
 
 def _suite_lie(ctx, args) -> dict:
@@ -256,7 +237,11 @@ def _suite_lie(ctx, args) -> dict:
     from .zhu import ZhuAlgebra
 
     alg = ZhuAlgebra(ctx, args.max_weight, args.margin)
-    hom = verify_hom_to_zhu(alg)
+    try:
+        hom = verify_hom_to_zhu(alg)
+    except ValueError as exc:
+        # a truncation that does not close lets a class escape it
+        return {"ok": False, "details": {"failure": str(exc)}}
     if not hom["ok"]:
         return {"ok": False, "details": hom}
     space = twisted_module(ctx)

@@ -111,6 +111,16 @@ def mode(space, u: State, n, w: State, check_index: bool = True) -> State:
     return out
 
 
+def o_action(space, a: State, w: State) -> State:
+    """The zero mode o(a) applied to w, linear in a: each monomial m of a
+    acts by the degree-preserving m_{wt m - 1}, so a may be inhomogeneous."""
+    out: State = {}
+    for m, c in a.items():
+        vec_iadd(out, mode(space, {m: c}, weight(m) - 1, w,
+                           check_index=False))
+    return out
+
+
 class Virasoro:
     """The conformal vector and its modes, with the computed central term."""
 

@@ -2,10 +2,13 @@
 
 Builds the Fock-type twisted modules attached to a twist context, the
 lowest-weight subspace Omega(M), the zero-mode representation of the Zhu
-algebra on Omega(M) with the certification rank, parity submodules cut
-out by a split zero mode, contragredient duals at matrix level, and a
-truncated Verma-type induction from a Zhu-algebra module back to a
-twisted module.
+algebra on Omega(M), parity submodules cut out by a split zero mode,
+contragredient duals at matrix level, and a truncated Verma-type
+induction from a Zhu-algebra module back to a twisted module.
+
+Omega(M) is an A_g(V)-module by the zero modes (fields.o_action).  Its
+matrices come from omega_umats alone: zhu_rank (the certification lower
+bound), zhu_action_report and induction all read them.
 
 Omega(M) is computed as the joint kernel of the positive generator
 modes.  The mode recursion writes every lowering mode of every state
@@ -33,7 +36,7 @@ from .fock import (
     state_weight,
     weight,
 )
-from .fields import Virasoro, mode, state_parity
+from .fields import Virasoro, mode, o_action, state_parity
 from .zhu import TwistContext, ZhuAlgebra, _mono_state, stabilized
 
 HALF = Fraction(1, 2)
@@ -125,39 +128,27 @@ class OmegaSpace:
         return sorted(self.space.degree(next(iter(v))) for v in self.basis)
 
 
-def o_action(space, a: State, w: State) -> State:
-    """The degree-preserving zero mode o(a) = a_{wt a - 1} applied to w."""
-    return mode(space, a, state_weight(a) - 1, w, check_index=False)
-
-
-def zhu_rank(alg: ZhuAlgebra, omegas: list) -> int:
-    """Rank of the joint zero-mode representation on the kernel spaces.
+def zhu_rank(mats: list) -> int:
+    """Rank of the zero-mode matrices, as omega_umats returns them.
 
     This is a true lower bound for dim A_g(V): the zero-mode map factors
     through the quotient by O_g, whatever the truncation missed.
     """
     ech = Echelon()
-    rank = 0
-    for i, m in enumerate(alg.basis):
-        flat: dict = {}
-        for s, om in enumerate(omegas):
-            for j, v in enumerate(om.basis):
-                img = o_action(om.space, _mono_state(m), v)
-                for m2, c in img.items():
-                    flat[(s, j, m2)] = c
-        if ech.add(flat):
-            rank += 1
-    return rank
+    for mat in mats:
+        ech.add({(y, x): c for y, col in enumerate(mat)
+                 for x, c in col.items()})
+    return ech.rank
 
 
 def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace) -> dict:
     """Exact checks that Omega(M) is a module for the quotient algebra.
 
-    Verifies o(1) = id, o(a)o(b) = o(a star b) for all table pairs,
-    o(u circ v) = 0 for the sampled ideal elements (ideal_samples counts
-    the pairs checked; o is applied to each weight component of u circ v
-    and the images summed), and reports the commutant dimension of the
-    image (1 means the action is simple)."""
+    Verifies o(1) = id, o(a)o(b) = o(a star b) for all table pairs on
+    the omega_umats matrices, o(u circ v) = 0 on Omega(M) for the sampled
+    ideal elements (ideal_samples counts the pairs checked), and reports
+    the commutant dimension of the image (1 means the action is
+    simple)."""
     try:
         mats, n = omega_umats(alg, om)
     except ValueError as exc:
@@ -171,8 +162,7 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace) -> dict:
             if lhs != rhs:
                 return {"ok": False, "failure": f"o(a)o(b)!=o(a*b) at {i},{j}"}
     # ideal elements u circ v act by zero: every v of weight <= 1 with a
-    # nonzero circ, for the first 20 nonempty u; o extends
-    # linearly over the weight components of an inhomogeneous circ
+    # nonzero circ, for the first 20 nonempty u
     count = 0
     ctx = alg.ctx
     us = [u for u in ctx.sector.basis(Fraction(2)) if u][:20]
@@ -182,16 +172,9 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace) -> dict:
             circ = ctx.circ(_mono_state(u), _mono_state(v))
             if not circ:
                 continue
-            parts: dict = {}
-            for m, c in circ.items():
-                parts.setdefault(weight(m), {})[m] = c
-            for w in om.basis:
-                img: dict = {}
-                for part in parts.values():
-                    vec_iadd(img, o_action(om.space, part, w))
-                if img:
-                    return {"ok": False,
-                            "failure": "o of an ideal element is nonzero"}
+            if any(o_action(om.space, circ, w) for w in om.basis):
+                return {"ok": False,
+                        "failure": "o of an ideal element is nonzero"}
             count += 1
     # commutant of the image: row a*n + b holds the entries of
     # [E_ab, o(m_i)], collected from each nonzero entry o(m_i)[r][t]
@@ -212,15 +195,14 @@ def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1)) -> dict:
 
     The upper bound is the echelon quotient by the relations u circ v
     with u a generator mode, plus the twist-odd monomials (o_relations);
-    the lower bound is the rank of the zero-mode action on Omega(M) of
-    the twisted module, computed to degree 1.  Certified means the bounds
-    meet, the basis is the same at max_weight and max_weight + 1/2, and
-    the guard band is covered.
+    the lower bound is zhu_rank of the omega_umats matrices: the
+    zero-mode action on Omega(M) of the twisted module, computed to
+    degree 1.  Certified means the bounds meet, the basis is the same at
+    max_weight and max_weight + 1/2, and the guard band is covered.
     """
     alg, _, stable = stabilized(ctx, max_weight, margin)
-    space = twisted_module(ctx)
-    om = OmegaSpace(space, Fraction(1))
-    lower = zhu_rank(alg, [om])
+    om = OmegaSpace(twisted_module(ctx), Fraction(1))
+    lower = zhu_rank(omega_umats(alg, om)[0])
     certified = stable and alg.high_covered and lower == alg.dim
     return {
         "algebra": alg,

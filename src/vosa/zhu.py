@@ -243,17 +243,23 @@ class ZhuAlgebra:
     def contains_in_ideal(self, st: State) -> bool:
         return not self.reduce(st)
 
+    def product(self, x: dict, y: dict) -> dict:
+        """Coordinates of x * y for coordinate dicts x and y: the plain
+        star_coords table, the checked reference, extended bilinearly."""
+        out: dict = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                vec_iadd(out, self.star_coords(i, j), a * b)
+        return out
+
     def check_associative(self) -> bool:
+        """(e_i * e_j) * e_k = e_i * (e_j * e_k) for all basis triples."""
         n = self.dim
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    left = {}
-                    for t, c in self.star_coords(i, j).items():
-                        vec_iadd(left, self.star_coords(t, k), c)
-                    for t, c in self.star_coords(j, k).items():
-                        vec_iadd(left, self.star_coords(i, t), -c)
-                    if left:
+                    if (self.product(self.star_coords(i, j), {k: 1})
+                            != self.product({i: 1}, self.star_coords(j, k))):
                         return False
         return True
 
@@ -438,9 +444,15 @@ def block_profile(alg: ZhuAlgebra) -> dict:
     tr(L_z^k) = tr(L_{z^k}).  Everything is exact rational arithmetic on
     left_multiplications, whose products rely on the associativity of
     A_g(V); the plain star_coords table is the checked reference.
+
+    Multiplicities give blocks only for a semisimple algebra: with a
+    nonzero radical, blocks is None.  A zero radical makes the center
+    semisimple, so the squarefree test is a consistency check.
     """
-    zc = center_basis(alg)
     rad = trace_form_radical_dim(alg)
+    zc = center_basis(alg)
+    if rad:
+        return {"center_dim": len(zc), "radical_dim": rad, "blocks": None}
     left = alg.left_multiplications()
     n, k = alg.dim, len(zc)
     unit = alg.unit_coords()
@@ -465,8 +477,5 @@ def block_profile(alg: ZhuAlgebra) -> dict:
             or sum(len(p) - 1 for p in parts.values()) != k):
         raise RuntimeError("characteristic polynomial does not match "
                            "the center")
-    return {
-        "center_dim": k,
-        "radical_dim": rad,
-        "blocks": sorted(blocks, reverse=True),
-    }
+    return {"center_dim": k, "radical_dim": 0,
+            "blocks": sorted(blocks, reverse=True)}

@@ -7,7 +7,8 @@ ones are checked against: full_pairs_relations, the relation generator
 over all pairs, generator_first_relations, which adds the depth-1
 reduction family to the circ products, and omega_joint_kernel, the
 lowest-weight space cut out by the generator and the Virasoro modes
-together.
+together, and zero_mode_rank_oracle, which reads the package's o_action
+but none of its matrices or echelon.
 """
 
 from fractions import Fraction
@@ -158,3 +159,23 @@ def omega_joint_kernel(space, d):
             lm += 1
         images.append(img)
     return [{monos[j]: c for j, c in ker.items()} for ker in nullspace(images)]
+
+
+def zero_mode_rank_oracle(alg, om) -> int:
+    """Rank of the zero-mode map a -> o(a) on a lowest-weight space.
+
+    One dense row per basis class of alg: the o_action images of its
+    monomial on every vector of om.basis, flattened over (vector index,
+    monomial) columns, ranked by matrix_rank_oracle.
+    """
+    from vosa.fields import o_action
+
+    rows = []
+    for m in alg.basis:
+        row = {}
+        for j, v in enumerate(om.basis):
+            for m2, c in o_action(om.space, {m: Fraction(1)}, v).items():
+                row[(j, m2)] = c
+        rows.append(row)
+    cols = list(dict.fromkeys(k for row in rows for k in row))
+    return matrix_rank_oracle([[row.get(k, 0) for k in cols] for row in rows])

@@ -49,6 +49,49 @@ def test_verify_suites_pass(tmp_path, suite):
     assert data["ok"]
 
 
+@pytest.mark.parametrize("suite", ["zhu-axioms", "lie"])
+@pytest.mark.parametrize("argv", [
+    ["--l", "2", "--max-weight", "1/2"], ["--l", "3", "--max-weight", "1/2"],
+    ["--l", "3", "--max-weight", "1"]])
+def test_suite_on_a_truncation_that_does_not_close(tmp_path, suite, argv):
+    # a class escapes the truncation: reported, not an error
+    code, data = run(tmp_path, "verify", "--suite", suite, *argv)
+    assert code == EXIT_UNCERTIFIED and data["ok"] is False
+    assert "escapes the truncation" in data["details"]["failure"]
+
+
+def test_zhu_axioms_unit_is_two_sided(tmp_path, monkeypatch):
+    # break only x * 1 = x (for x != 1); 1 * x = x still holds
+    from vosa.zhu import ZhuAlgebra
+
+    plain = ZhuAlgebra.star_coords
+
+    def star_coords(self, i, j):
+        if self.basis[j] == () and self.basis[i] != ():
+            return {}
+        return plain(self, i, j)
+
+    monkeypatch.setattr(ZhuAlgebra, "star_coords", star_coords)
+    code, data = run(tmp_path, "verify", "--suite", "zhu-axioms", "--l", "2")
+    assert code == EXIT_UNCERTIFIED
+    assert data["details"]["unit"] is False
+
+
+def test_readme_cli_examples_run(monkeypatch, capsys):
+    # the documented commands of the README's CLI block exit 0 with a
+    # report, so they cannot drift from the program
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("vosa ")]
+    assert len(commands) >= 5
+    monkeypatch.delenv("VOSA_CACHE_DIR", raising=False)
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+        assert json.loads(capsys.readouterr().out)["schema"] == SCHEMA
+
+
 @pytest.mark.parametrize("argv,pairs", [
     (["--l", "1"], 6), (["--l", "2"], 34), (["--l", "3"], 129),
     (["--twist", "tau"], 34)])

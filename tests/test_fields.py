@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from vosa.fock import ns_orthonormal, ns_polarized
+from vosa.exact import vec_iadd
+from vosa.fock import ns_orthonormal, ns_polarized, state_weight, weight
 from vosa.fields import (Virasoro, min_assoc_exponent, mode, mode_offset,
-                         twist_correction, verify_associativity,
+                         o_action, twist_correction, verify_associativity,
                          verify_commutator, verify_skew_symmetry,
                          verify_translation)
 from vosa.zhu import ctx_sigma, ctx_tau
@@ -221,3 +222,42 @@ def test_skew_symmetry():
     assert verify_skew_symmetry(sec, vir.omega, b, b)["ok"]
     assert verify_skew_symmetry(sec, vir.omega, vir.omega, b)["ok"]
     assert verify_skew_symmetry(sec, vir.omega, vir.omega, vir.omega)["ok"]
+
+
+def _weight_parts(st):
+    parts: dict = {}
+    for m, c in st.items():
+        parts.setdefault(weight(m), {})[m] = c
+    return list(parts.values())
+
+
+@pytest.mark.parametrize("ctx", [ctx_sigma(2), ctx_tau()],
+                         ids=["sigma2", "tau"])
+def test_o_action_is_linear_over_weight_parts(ctx):
+    # o of an inhomogeneous state is the sum of the homogeneous zero modes
+    # part_{wt part - 1} over its weight parts
+    space = twisted_module(ctx)
+    sector = ctx.sector
+    targets = [{m: ONE} for m in space.basis(Fraction(2))]
+    omega = Virasoro(sector).omega
+    a = {((-3 * H, 0),): ONE}
+    translated = mode(sector, omega, 0, a)                 # L(-1) a
+    vec_iadd(translated, mode(sector, omega, 1, a))        # + L(0) a
+    circs = (ctx.circ({u: ONE}, {v: ONE})
+             for u in sector.basis(Fraction(2))
+             for v in sector.basis(Fraction(1)))
+    circ = next(c for c in circs if len(_weight_parts(c)) > 1
+                and any(o_action(space, c, w) for w in targets))
+    for st in (translated, circ):
+        parts = _weight_parts(st)
+        assert len(parts) > 1
+        for w in targets:
+            by_parts: dict = {}
+            for part in parts:
+                vec_iadd(by_parts, mode(space, part, state_weight(part) - 1,
+                                        w, check_index=False))
+            assert o_action(space, st, w) == by_parts
+    # the parts of (L(-1) + L(0)) a act nonzero one by one and cancel
+    assert any(mode(space, part, state_weight(part) - 1, w,
+                    check_index=False)
+               for part in _weight_parts(translated) for w in targets)

@@ -13,7 +13,8 @@ from vosa.modules import (Contragredient, InducedSpace, OmegaSpace,
                           twisted_module, zhu_action_report, zhu_rank)
 from vosa.zhu import ZhuAlgebra, ctx_identity, ctx_sigma, ctx_tau
 
-from oracles import graded_dim_oracle, omega_joint_kernel
+from oracles import (graded_dim_oracle, omega_joint_kernel,
+                     zero_mode_rank_oracle)
 
 H = Fraction(1, 2)
 ONE = Fraction(1)
@@ -169,7 +170,7 @@ def test_zhu_rank_is_lower_bound():
     ctx = ctx_sigma(2)
     alg = ZhuAlgebra(ctx, Fraction(5, 2))
     om = OmegaSpace(twisted_module(ctx), Fraction(1))
-    assert zhu_rank(alg, [om]) <= alg.dim
+    assert zhu_rank(omega_umats(alg, om)[0]) <= alg.dim
 
 
 def test_zero_mode_action_represents_the_algebra():
@@ -357,6 +358,19 @@ def test_omega_umats_match_the_zero_mode_action(ctx):
             for x, c in col.items():
                 vec_iadd(img, om.basis[x], c)
             assert img == o_action(om.space, {alg.basis[i]: ONE}, om.basis[y])
+
+
+@pytest.mark.parametrize("ctx", (
+    [pytest.param(ctx_sigma(l), id=f"sigma{l}") for l in (1, 2, 3, 4)]
+    + [pytest.param(ctx_identity(l), id=f"id{l}") for l in (1, 2, 3)]
+    + [pytest.param(ctx_tau(), id="tau"),
+       pytest.param(_ctx_order_four(), id="order4")]))
+def test_zhu_rank_matches_the_dense_zero_mode_rank(ctx):
+    # the lower bound read off the omega_umats matrices equals the rank of
+    # the o_action images in the monomial basis, by dense elimination
+    rep = certified_zhu(ctx, Fraction(2))
+    assert rep["dim_lower"] == zero_mode_rank_oracle(rep["algebra"],
+                                                     rep["omega"]) > 0
 
 
 def test_induced_space_commutator_identity():

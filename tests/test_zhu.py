@@ -286,3 +286,39 @@ def test_separating_element_beyond_pairwise_mixes():
     assert len(minpoly) == 4
     # z(1) = (3, 4, 2): the minimal polynomial is (x-3)(x-4)(x-2)
     assert minpoly == [-24, 26, -9, 1]
+
+
+class _MatrixAlgebra:
+    """Stand-in algebra: the n x n matrices E_ab with a <= b (upper
+    triangular) or all of them, multiplied by E_ab E_cd = delta_bc E_ad,
+    with every basis element taken as a generator."""
+
+    def __init__(self, n, upper):
+        self.pairs = [(a, b) for a in range(n) for b in range(n)
+                      if a <= b or not upper]
+        self.dim = len(self.pairs)
+        idx = {p: i for i, p in enumerate(self.pairs)}
+        self._left = [[{idx[(a, d)]: ONE} if b == c else {}
+                       for c, d in self.pairs] for a, b in self.pairs]
+        self._unit = {idx[(a, a)]: ONE for a in range(n)}
+
+    def left_multiplications(self):
+        return self._left
+
+    def generator_multiplications(self):
+        gens = list(range(self.dim))
+        right = {g: [self._left[j][g] for j in gens] for g in gens}
+        return gens, dict(enumerate(self._left)), right
+
+    def unit_coords(self):
+        return self._unit
+
+
+@pytest.mark.parametrize("n,upper,expect", [
+    (2, True, {"center_dim": 1, "radical_dim": 1, "blocks": None}),
+    (8, True, {"center_dim": 1, "radical_dim": 28, "blocks": None}),
+    (2, False, {"center_dim": 1, "radical_dim": 0, "blocks": [2]})])
+def test_block_profile_reads_no_blocks_off_a_radical(n, upper, expect):
+    # multiplicity e = s^2 is a block of size s only for a semisimple
+    # algebra; upper-triangular matrices are 1 x 1 blocks mod a radical
+    assert block_profile(_MatrixAlgebra(n, upper)) == expect
