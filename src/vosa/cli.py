@@ -231,8 +231,8 @@ def _suite_zhu_axioms(ctx, args) -> dict:
 
 
 def _suite_lie(ctx, args) -> dict:
-    from .liealg import (symbol, verify_hom_to_zhu, verify_jacobi,
-                         verify_bracket_on_module)
+    from .fields import verify_commutator
+    from .liealg import symbol, verify_hom_to_zhu, verify_jacobi
     from .modules import twisted_module
     from .zhu import ZhuAlgebra
 
@@ -248,14 +248,16 @@ def _suite_lie(ctx, args) -> dict:
     sector = ctx.sector
     targets = [{m: Fraction(1)} for m in space.basis(Fraction(1))]
     gens = [{((Fraction(-1, 2), g),): Fraction(1)} for g in sector.gids]
-    syms = [symbol(u, ctx.support[g] - Fraction(1, 2) + 1)
-            for g, u in enumerate(gens)]
-    for x in syms:
-        for y in syms:
-            br = verify_bracket_on_module(sector, space, x, y, targets)
+    index = [ctx.support[g] + Fraction(1, 2) for g in sector.gids]
+    syms = [symbol(u, k) for u, k in zip(gens, index)]
+    for g, u in enumerate(gens):
+        for h, v in enumerate(gens):
+            br = verify_commutator(space, u, v,
+                                   [(index[g], index[h], w) for w in targets])
             if not br["ok"]:
                 return {"ok": False, "details": br}
-            jc = verify_jacobi(sector, space, x, y, syms[0], targets)
+            jc = verify_jacobi(sector, space, syms[g], syms[h], syms[0],
+                               targets)
             if not jc["ok"]:
                 return {"ok": False, "details": jc}
     return {"ok": True, "details": {"hom_pairs": hom["pairs"]}}

@@ -151,17 +151,6 @@ def nullspace(images: list[dict]) -> list[dict]:
     return kernel
 
 
-def solve_in_span(basis: list[dict], target: dict):
-    """Coordinates of target in span(basis), or None if not in the span.
-
-    Deterministic: uses the first expression found by echelon reduction.
-    """
-    coords = span_coordinates(basis, [target])[0]
-    if coords is None:
-        return None
-    return [coords.get(j, Fraction(0)) for j in range(len(basis))]
-
-
 def span_coordinates(basis: list[dict], targets: list[dict]) -> list:
     """Sparse coordinates {j: c} of each target in span(basis), or None.
 

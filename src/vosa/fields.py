@@ -97,15 +97,20 @@ def mode_offset(space, u: Monomial) -> Fraction:
     return (weight(u) - 1 + sum(space.support[a] for _, a in u)) % 1
 
 
+def in_coset(space, u: State, n) -> bool:
+    """n lies in the twist coset of every monomial of u."""
+    return all((n - mode_offset(space, um)) % 1 == 0 for um in u)
+
+
 def mode(space, u: State, n, w: State, check_index: bool = True) -> State:
     """The operator u_n applied to w, for weight-homogeneous u."""
     n = Fraction(n)
     if u and state_weight(u) is None:
         raise ValueError("mode requires a weight-homogeneous state")
+    if check_index and not in_coset(space, u, n):
+        raise ValueError(f"index {n} not in the twist class of u")
     out: State = {}
     for um, cu in u.items():
-        if check_index and (n - mode_offset(space, um)) % 1 != 0:
-            raise ValueError(f"index {n} not in the twist class of u")
         for wm, cw in w.items():
             vec_iadd(out, mode_mono(space, um, n, wm), cu * cw)
     return out
@@ -155,35 +160,63 @@ def state_parity(st: State) -> int:
     return ps.pop()
 
 
+def residue_terms(alg, u: State, alpha, k: int, v: State):
+    """The nonzero terms (i, C(alpha, i), u_{i-k} v) of the residue sum
+    sum_i C(alpha, i) u_{i-k} v, products taken in the algebra alg.
+
+    Every mode u_j with j > wt u + wt v - 1 annihilates v, so i runs
+    while i - k stays at or below that bound; the top weight of v is
+    used, so v may be inhomogeneous.  The Zhu products star and circ,
+    the Lie bracket of mode symbols, the commutator formula and the
+    associativity check all expand through this one sum.
+    """
+    if not u or not v:
+        return
+    top = max(map(weight, u)) + max(map(weight, v)) - 1
+    i = 0
+    while i - k <= top:
+        c = gen_binomial(alpha, i)
+        if c:
+            prod = mode(alg, u, i - k, v)
+            if prod:
+                yield i, c, prod
+        i += 1
+
+
+def commutator_defect(alg, action, u: State, m, v: State, n,
+                      w: State) -> State:
+    """[u_m, v_n]+- w - sum_i C(m, i) (u_i v)_{m+n-i} w.
+
+    action(x, k, y) applies the mode x_k to y: the mode on a space for
+    verify_commutator, the dual mode on a contragredient for its check.
+    The products u_i v are taken in alg.  Zero exactly when the twisted
+    commutator formula holds on w.
+    """
+    sgn = -1 if state_parity(u) and state_parity(v) else 1
+    out = action(u, m, action(v, n, w))
+    vec_iadd(out, action(v, n, action(u, m, w)), Fraction(-sgn))
+    for i, c, uiv in residue_terms(alg, u, m, 0, v):
+        vec_iadd(out, action(uiv, m + n - i, w), -c)
+    return out
+
+
 def verify_commutator(space, u: State, v: State, samples) -> dict:
     """Check [u_m, v_n]+- w = sum_i C(m,i) (u_i v)_{m+n-i} w exactly.
 
-    samples is an iterable of (m, n, w) triples.  Returns a report with
+    samples is an iterable of (m, n, w) triples; m and n must lie in
+    the twist cosets of u and v, otherwise ValueError (off-coset modes
+    act by zero, but their products need not).  Returns a report with
     the first failing tuple, if any.
     """
-    alg = space.algebra
-    sgn = -1 if state_parity(u) and state_parity(v) else 1
-    wu, wv = state_weight(u), state_weight(v)
+    def action(x, k, y):
+        return mode(space, x, k, y, check_index=False)
+
     checked = 0
     for m, n, w in samples:
         m, n = Fraction(m), Fraction(n)
-        # off-coset indices kill u_m but not the product side, so the
-        # identity only makes sense on the proper mode lattice
-        lhs = mode(space, u, m, mode(space, v, n, w))
-        vec_iadd(lhs, mode(space, v, n, mode(space, u, m, w)),
-                 Fraction(-sgn))
-        i = 0
-        while i <= wu + wv - 1:
-            uiv = mode(alg, u, i, v)
-            if uiv:
-                c = gen_binomial(m, i)
-                if c:
-                    vec_iadd(lhs,
-                             mode(space, uiv, m + n - i, w,
-                                  check_index=False),
-                             -c)
-            i += 1
-        if lhs:
+        if not (in_coset(space, u, m) and in_coset(space, v, n)):
+            raise ValueError(f"indices {m}, {n} not in the twist classes")
+        if commutator_defect(space.algebra, action, u, m, v, n, w):
             return {"ok": False, "checked": checked,
                     "failure": {"m": str(m), "n": str(n)}}
         checked += 1
@@ -212,7 +245,7 @@ def verify_associativity(space, a: State, u: State, w: State, kappa,
     """
     kappa = Fraction(kappa)
     alg = space.algebra
-    wa, wu = state_weight(a), state_weight(u)
+    wu = state_weight(u)
     deg = max(space.degree(m) for m in w)
     if kappa < min_assoc_exponent(space, a, w):
         raise ValueError("kappa too small for a regular product")
@@ -236,16 +269,9 @@ def verify_associativity(space, a: State, u: State, w: State, kappa,
                                       check_index=False), c0)
                 j += 1
             rhs: State = {}
-            i = 0
-            while i <= A + wa + wu:
-                c0 = gen_binomial(kappa, i)
-                if c0:
-                    prod = mode(alg, a, i - A - 1, u)
-                    if prod:
-                        vec_iadd(rhs,
-                                 mode(space, prod, kappa - B - 1 - i, w,
-                                      check_index=False), c0)
-                i += 1
+            for i, c0, prod in residue_terms(alg, a, kappa, A + 1, u):
+                vec_iadd(rhs, mode(space, prod, kappa - B - 1 - i, w,
+                                   check_index=False), c0)
             vec_iadd(lhs, rhs, Fraction(-1))
             if lhs:
                 return {"ok": False, "checked": checked,

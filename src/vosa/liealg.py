@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import gen_binomial, vec_iadd
+from .exact import vec_iadd
 from .fock import State, state_weight
-from .fields import Virasoro, mode, mode_offset, o_action, state_parity
+from .fields import (Virasoro, in_coset, mode, o_action, residue_terms,
+                     state_parity)
 
 # a symbol combination is a dict {(index, mono): Fraction}; each key is
 # one basis mode symbol (monomial, index), grouped sparsely
@@ -38,31 +39,23 @@ def symbol_degree(sym: dict):
 
 def check_coset(sector, sym: dict) -> bool:
     """Every index sits in the twist coset of its monomial."""
-    for q, m in sym:
-        if (q - mode_offset(sector, m)) % 1 != 0:
-            return False
-    return True
+    return all(in_coset(sector, {m: 1}, q) for q, m in sym)
 
 
 def bracket(sector, x: dict, y: dict) -> dict:
     """The super-commutator of two symbol combinations.
 
-    [a(q), b(p)] = sum_i binom(q, i) (a_i b)(q + p - i); the sum is
-    finite because products above weight wt a + wt b - 1 vanish.
+    [a(q), b(p)] = sum_i binom(q, i) (a_i b)(q + p - i), the commutator
+    formula read off fields.residue_terms; the sum is finite because
+    products above weight wt a + wt b - 1 vanish.
     """
     out: dict = {}
     for (q, am), ca in x.items():
         for (p, bm), cb in y.items():
-            top = state_weight({am: 1}) + state_weight({bm: 1}) - 1
-            i = 0
-            while i <= top:
-                c = gen_binomial(q, i)
-                if c:
-                    prod = mode(sector, {am: Fraction(1)}, i,
-                                {bm: Fraction(1)})
-                    for m2, c2 in prod.items():
-                        vec_iadd(out, {(q + p - i, m2): ca * cb * c * c2})
-                i += 1
+            for i, c, prod in residue_terms(sector, {am: Fraction(1)}, q, 0,
+                                            {bm: Fraction(1)}):
+                vec_iadd(out, {(q + p - i, m2): c2
+                               for m2, c2 in prod.items()}, ca * cb * c)
     return out
 
 
@@ -85,22 +78,6 @@ def symbol_parity(sym: dict) -> int:
     if len(ps) != 1:
         raise ValueError("symbol combination of mixed parity")
     return ps.pop()
-
-
-def verify_bracket_on_module(sector, space, x: dict, y: dict,
-                             targets) -> dict:
-    """act(bracket(x, y)) equals the super-commutator of the actions."""
-    sgn = -1 if symbol_parity(x) and symbol_parity(y) else 1
-    br = bracket(sector, x, y)
-    checked = 0
-    for w in targets:
-        lhs = act(space, x, act(space, y, w))
-        vec_iadd(lhs, act(space, y, act(space, x, w)), Fraction(-sgn))
-        vec_iadd(lhs, act(space, br, w), Fraction(-1))
-        if lhs:
-            return {"ok": False, "checked": checked}
-        checked += 1
-    return {"ok": True, "checked": checked}
 
 
 def verify_jacobi(sector, space, x: dict, y: dict, z: dict,

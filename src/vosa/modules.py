@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import (Echelon, gen_binomial, mat_apply, mat_lincomb, nullspace,
-                    solve_in_span, span_coordinates, vec_iadd)
+from .exact import (Echelon, mat_apply, mat_lincomb, nullspace,
+                    span_coordinates, vec_iadd)
 from .fock import (
     Sector,
     State,
@@ -36,7 +36,8 @@ from .fock import (
     state_weight,
     weight,
 )
-from .fields import Virasoro, mode, o_action, state_parity
+from .fields import (Virasoro, commutator_defect, mode, o_action,
+                     state_parity)
 from .zhu import TwistContext, ZhuAlgebra, _mono_state, stabilized
 
 HALF = Fraction(1, 2)
@@ -252,7 +253,7 @@ class ParitySubmodule:
     def contains(self, st: State) -> bool:
         deg = {weight(m) for m in st}
         cand = [v for v in self.basis if state_weight(v) in deg]
-        return solve_in_span(cand, st) is not None
+        return span_coordinates(cand, [st])[0] is not None
 
     def check_invariance(self) -> bool:
         """Every generator mode keeps the subspace inside itself, tested
@@ -357,26 +358,16 @@ class Contragredient:
         return {(): Fraction(1)}
 
     def verify_commutator(self, u: State, v: State, samples) -> dict:
-        """The twisted commutator identity transported to the dual side."""
-        alg = self.space.algebra
-        pu, pv = state_parity(u), state_parity(v)
-        sgn = -1 if pu and pv else 1
-        wu, wv = state_weight(u), state_weight(v)
+        """The twisted commutator identity transported to the dual side:
+        fields.commutator_defect with rmode as the action."""
+        # a mixed-parity state is an error, not a skipped sample
+        state_parity(u), state_parity(v)
         checked = skipped = 0
         for m, n, f in samples:
             m, n = Fraction(m), Fraction(n)
             try:
-                lhs = self.rmode(u, m, self.rmode(v, n, f))
-                vec_iadd(lhs, self.rmode(v, n, self.rmode(u, m, f)),
-                         Fraction(-sgn))
-                i = 0
-                while i <= wu + wv - 1:
-                    uiv = mode(alg, u, i, v)
-                    if uiv:
-                        c = gen_binomial(m, i)
-                        if c:
-                            vec_iadd(lhs, self.rmode(uiv, m + n - i, f), -c)
-                    i += 1
+                lhs = commutator_defect(self.space.algebra, self.rmode,
+                                        u, m, v, n, f)
             except ValueError:
                 # an intermediate dual degree left the truncated range
                 skipped += 1

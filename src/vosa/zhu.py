@@ -17,10 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, isqrt
 
-from .exact import (Echelon, charpoly_from_power_sums, gen_binomial,
-                    mat_apply, mat_lincomb, poly_derivative, poly_gcd,
-                    solve_in_span, span_coordinates, squarefree_decomposition,
-                    vec_iadd)
+from .exact import (Echelon, charpoly_from_power_sums, mat_apply,
+                    mat_lincomb, poly_derivative, poly_gcd, span_coordinates,
+                    squarefree_decomposition, vec_iadd)
 from .fock import (
     Monomial,
     Sector,
@@ -29,7 +28,7 @@ from .fock import (
     ns_polarized,
     weight,
 )
-from .fields import mode
+from .fields import residue_terms
 
 HALF = Fraction(1, 2)
 
@@ -44,6 +43,10 @@ class TwistContext:
     data (delta, the binomial exponents, the module mode cosets) derive
     from support.  g must preserve the pairing: support[i] + support[j]
     is an integer for every paired (i, j), otherwise ValueError.
+
+    star, circ and the reduction family are residue sums
+    sum_s binom(alpha, s) u_{s-k} v with products taken in the sector
+    itself; fields.residue_terms expands them.
     """
 
     def __init__(self, name: str, sector: Sector, support: dict):
@@ -72,17 +75,11 @@ class TwistContext:
             raise ValueError("state must be weight- and twist-homogeneous")
         return ws.pop(), rs.pop()
 
-    def _residue_sum(self, u: State, wu, v: State, alpha, k: int) -> State:
-        """sum_s binom(alpha, s) u_{s-k} v, over s - k <= wt u + wt v - 1
-        (every higher mode of u annihilates v)."""
-        wv = max((weight(m) for m in v), default=Fraction(0))
+    def _residue_sum(self, u: State, v: State, alpha, k: int) -> State:
+        """sum_s binom(alpha, s) u_{s-k} v (fields.residue_terms)."""
         out: State = {}
-        s = 0
-        while s - k <= wu + wv - 1:
-            c = gen_binomial(alpha, s)
-            if c:
-                vec_iadd(out, mode(self.sector, u, s - k, v), c)
-            s += 1
+        for _, c, prod in residue_terms(self.sector, u, alpha, k, v):
+            vec_iadd(out, prod, c)
         return out
 
     def circ(self, u: State, v: State) -> State:
@@ -94,7 +91,7 @@ class TwistContext:
         wu, rs = self._homogeneous(u)
         if rs != 0:
             return {}
-        return self._residue_sum(u, wu, v, wu, 1)
+        return self._residue_sum(u, v, wu, 1)
 
     def reduction_family(self, u: State, v: State, m: int, n: int) -> State:
         """Members of O_g indexed by m >= n >= 0; (0, 0) is circ."""
@@ -103,7 +100,7 @@ class TwistContext:
         wu, rs = self._homogeneous(u)
         d = 1 if rs == 0 else 0
         alpha = wu - 1 + d + rs + n
-        return self._residue_sum(u, wu, v, alpha, m + d + 1)
+        return self._residue_sum(u, v, alpha, m + d + 1)
 
 
 def ctx_sigma(l: int) -> TwistContext:
@@ -225,7 +222,9 @@ class ZhuAlgebra:
         out = {}
         for (w, m), c in red.items():
             if m not in self._index:
-                raise ValueError(f"class escapes the truncation at {m}")
+                labels = ", ".join(f"({q}, {a})" for q, a in m)
+                raise ValueError(
+                    f"class escapes the truncation at ({labels})")
             out[self._index[m]] = c
         return out
 
@@ -401,9 +400,10 @@ def _minimal_polynomial(mat: list, unit: dict) -> list:
     powers = [unit]
     while True:
         nxt = mat_apply(mat, powers[-1])
-        coords = solve_in_span(powers, nxt)
+        coords = span_coordinates(powers, [nxt])[0]
         if coords is not None:
-            return [-c for c in coords] + [Fraction(1)]
+            return [-coords.get(j, Fraction(0))
+                    for j in range(len(powers))] + [Fraction(1)]
         powers.append(nxt)
 
 

@@ -60,6 +60,14 @@ def test_suite_on_a_truncation_that_does_not_close(tmp_path, suite, argv):
     assert "escapes the truncation" in data["details"]["failure"]
 
 
+def test_escaping_class_is_named_by_rational_mode_labels(tmp_path):
+    code, data = run(tmp_path, "verify", "--suite", "zhu-axioms",
+                     "--l", "2", "--max-weight", "1/2")
+    failure = data["details"]["failure"]
+    assert "escapes the truncation" in failure
+    assert "Fraction(" not in failure and "-1/2" in failure
+
+
 def test_zhu_axioms_unit_is_two_sided(tmp_path, monkeypatch):
     # break only x * 1 = x (for x != 1); 1 * x = x still holds
     from vosa.zhu import ZhuAlgebra

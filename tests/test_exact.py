@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vosa.exact import (Echelon, charpoly_from_power_sums, gen_binomial,
-                        nullspace, solve_in_span,
+                        nullspace, span_coordinates,
                         squarefree_decomposition, vec_iadd)
 
 from oracles import binomial_oracle, integer_binomial, matrix_rank_oracle
@@ -119,22 +119,22 @@ def test_rank_and_quotient_basis():
     assert set(ech.pivots) <= set(range(4))
 
 
-def test_solve_in_span_roundtrip():
+def test_span_coordinates_roundtrip():
     basis = _rows_to_dicts([[1, 0, 1], [0, 1, 1]])
     target: dict = {}
     vec_iadd(target, basis[0], Fraction(3))
     vec_iadd(target, basis[1], Fraction(-1, 2))
-    sol = solve_in_span(basis, target)
+    sol = span_coordinates(basis, [target])[0]
     assert sol is not None
     recon: dict = {}
-    for i, c in enumerate(sol):
+    for i, c in sol.items():
         vec_iadd(recon, basis[i], c)
     assert recon == target
 
 
-def test_solve_in_span_detects_outside_vector():
+def test_span_coordinates_detects_outside_vector():
     basis = _rows_to_dicts([[1, 0, 1]])
-    assert solve_in_span(basis, {0: Fraction(1)}) is None
+    assert span_coordinates(basis, [{0: Fraction(1)}]) == [None]
 
 
 # ----------------------------------------------------------- polynomials

@@ -144,6 +144,18 @@ def test_commutator_identity_200_triples():
     assert total >= 200
 
 
+def test_commutator_rejects_off_coset_indices():
+    # gen 0 acts at half-integer indices on the sigma-twisted module; at
+    # an integer index it acts by zero while its products need not, so
+    # the check refuses the sample instead of comparing
+    M = twisted_module(ctx_sigma(2))
+    w = _module_targets(M, 1)[0]
+    with pytest.raises(ValueError):
+        verify_commutator(M, gen(0), gen(1), [(0, H, w)])
+    with pytest.raises(ValueError):
+        verify_commutator(M, gen(1), gen(0), [(H, 0, w)])
+
+
 def test_commutator_on_untwisted_space():
     # generators on their own Fock space have integer mode indices
     sec = ns_orthonormal(2)

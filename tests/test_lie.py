@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vosa.fields import Virasoro
-from vosa.liealg import (bracket, check_coset, symbol, symbol_degree,
-                         verify_bracket_on_module, verify_degree_additive,
-                         verify_hom_to_zhu, verify_jacobi, verify_o_kernel,
-                         zero_mode_symbol)
+from vosa.fields import Virasoro, verify_commutator
+from vosa.liealg import (act, bracket, check_coset, symbol, symbol_degree,
+                         verify_degree_additive, verify_hom_to_zhu,
+                         verify_jacobi, verify_o_kernel, zero_mode_symbol)
 from vosa.modules import twisted_module
 from vosa.zhu import ZhuAlgebra, ctx_sigma, ctx_tau
 
@@ -27,19 +26,20 @@ def gen(g):
     return {((-H, g),): ONE}
 
 
-def _symbols():
-    # coset-correct indices on the twisted module: generators at
-    # half-integers, the conformal vector at integers
+def _modes():
+    # coset-correct (state, index) pairs on the twisted module:
+    # generators at half-integers, the conformal vector at integers
     out = []
     for g in (0, 1):
         for k in (-Fraction(3, 2), -H, H, Fraction(3, 2), Fraction(5, 2)):
-            out.append(symbol(gen(g), k))
+            out.append((gen(g), k))
     for k in (-1, 0, 1, 2):
-        out.append(symbol(VIR.omega, k))
+        out.append((VIR.omega, Fraction(k)))
     return out
 
 
-SYMBOLS = _symbols()
+MODES = _modes()
+SYMBOLS = [symbol(u, k) for u, k in MODES]
 
 
 def test_symbol_degree():
@@ -66,9 +66,11 @@ def test_bracket_respects_degree():
 
 
 def test_bracket_matches_module_action():
-    for x in SYMBOLS:
-        for y in SYMBOLS:
-            rep = verify_bracket_on_module(SECTOR, SPACE, x, y, TARGETS[:4])
+    # the bracket is the commutator formula; check it on the module
+    for u, m in MODES:
+        for v, n in MODES:
+            rep = verify_commutator(SPACE, u, v,
+                                    [(m, n, w) for w in TARGETS[:4]])
             assert rep["ok"]
 
 
@@ -82,14 +84,21 @@ def test_super_jacobi_sampled(i, j, k):
 
 
 def test_jacobi_on_pair_swap_module():
+    # under tau, gen 0 has integer mode labels and gen 1 half-integer
+    # ones, so gen 0 acts at half-integer indices and gen 1 at integers;
+    # weight-2 targets let the degree -2 symbol act
     ctx = ctx_tau()
     space = twisted_module(ctx)
-    targets = [{m: ONE} for m in space.basis(Fraction(1))]
-    u = symbol(gen(0), 0)
-    v = symbol(gen(1), H)
-    w = symbol(gen(0), 1)
+    targets = [{m: ONE} for m in space.basis(Fraction(2))]
+    u = symbol(gen(0), H)
+    v = symbol(gen(1), 0)
+    w = symbol(gen(0), Fraction(3, 2))
+    for sym in (u, v, w):
+        assert check_coset(space, sym)
+        assert any(act(space, sym, t) for t in targets)
     assert verify_jacobi(ctx.sector, space, u, v, w, targets)["ok"]
-    assert verify_bracket_on_module(ctx.sector, space, u, v, targets)["ok"]
+    assert verify_commutator(space, gen(0), gen(1),
+                             [(H, 0, t) for t in targets])["ok"]
 
 
 def test_o_kernel_acts_by_zero():

@@ -3,9 +3,10 @@
 perfbench/spans.py patches vosa's functions and methods by name from
 outside the package, so a refactor that renames or deletes one of them
 breaks the traced benchmark run without failing any other test.  The
-traced jobs are the benchmark's set-up job, its own module-side job for
-tau, and a small copy of that job (certification, Omega, induction, a
-commutator check) whose shape and counters the test reads, so a change
+traced jobs are a bare Zhu build, whose O_g relations must reach the
+traced fields.mode, the benchmark's set-up job, its own module-side job
+for tau, and a small copy of that job (certification, Omega, induction,
+a commutator check) whose shape and counters the test reads, so a change
 to how those layers are called is caught here too.  The
 tracer is installed in a fresh interpreter, because it patches the
 package in place.
@@ -26,6 +27,11 @@ import spans, workloads
 import vosa, vosa.cli, vosa.liealg, vosa.modules
 tracer = spans.Tracer()
 spans.install(tracer, vosa)
+# the O_g relations of a bare Zhu build reach the mode recursion through
+# fields.mode, so its span counts them
+tracer.run_job("zhu_sigma2",
+               lambda: vosa.zhu.ZhuAlgebra(vosa.zhu.ctx_sigma(2), 2))
+zhu_mode_calls = tracer.calls["fields.mode"]
 found = tracer.run_job("warm_up", lambda: workloads.warm_up(vosa))
 
 
@@ -49,6 +55,7 @@ shape = tracer.run_job("represent_tau", represent_tau)
 bench_tau = dict(workloads.represent(1))["tau"]
 found += tracer.run_job("tau", lambda: bench_tau(vosa))
 print(json.dumps({"found": found, "shape": shape,
+                  "zhu_mode_calls": zhu_mode_calls,
                   "calls": dict(tracer.calls),
                   "counts": dict(tracer.counts)}))
 """
@@ -62,6 +69,7 @@ def test_tracer_installs_and_runs_warm_up():
     out = json.loads(proc.stdout)
     assert out["found"] == []
     assert out["shape"] == [2, True, True]
+    assert out["zhu_mode_calls"] > 0
     for name in ("zhu.build", "zhu.relations", "zhu.second_cutoff",
                  "fields.mode", "fock.basis", "modules.certify",
                  "zhu.blocks", "modules.omega", "modules.induce",
