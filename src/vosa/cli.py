@@ -58,12 +58,12 @@ def _cache_key(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _cache_get(cache_dir, key):
-    """The cached report, or None on a miss.
+def _cache_get(cache_dir, key, args):
+    """The cached zhu report for args, or None on a miss.
 
-    An entry that does not decode to a report of this schema (a
-    truncated write, a foreign file) is a miss too; the recomputed report
-    then replaces it.
+    An entry that is not the report _zhu_report writes for args (a
+    truncated write, a foreign file, another schema, other fields,
+    another twist or l) is a miss too; the recomputed report replaces it.
     """
     if not cache_dir:
         return None
@@ -73,8 +73,13 @@ def _cache_get(cache_dir, key):
             entry = json.load(f)
     except (FileNotFoundError, ValueError):
         return None
-    if (not isinstance(entry, dict) or entry.get("schema") != SCHEMA
-            or "certified" not in entry):
+    fields = {"dim", "certified", "blocks", "center_dim", "radical_dim"}
+    if args.certify:
+        fields |= {"dim_lower", "stabilized"}
+    want = {"schema": SCHEMA, "command": "zhu", "twist": args.twist,
+            "l": args.l}
+    if (not isinstance(entry, dict) or entry.keys() != fields | want.keys()
+            or any(entry[k] != v for k, v in want.items())):
         return None
     return entry
 
@@ -124,7 +129,7 @@ def cmd_zhu(args) -> int:
         "certify": bool(args.certify),
         "version": __version__,
     })
-    result = _cache_get(_cache_dir(args), key)
+    result = _cache_get(_cache_dir(args), key, args)
     if result is None:
         result = _zhu_report(ctx, args)
         _cache_put(_cache_dir(args), key, result)
@@ -397,8 +402,16 @@ def _add_common(p) -> None:
     p.add_argument("--format", choices=["json", "table"], default="json")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises bad input as ValueError for main to report; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="vosa",
         description="exact twisted Zhu algebras of free-fermion "
                     "vertex superalgebras",
@@ -500,9 +513,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, argv, parser)
+        args = _apply_config(parser.parse_args(argv), argv, parser)
         _check_ranges(args)
         return args.func(args)
     except (ValueError, OSError, RuntimeError, AssertionError) as exc:

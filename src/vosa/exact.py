@@ -121,12 +121,11 @@ class Echelon:
             for j, x in p.items():
                 if j == k:
                     continue
-                w = out.get(j, done.get(j, 0)) - c * x
-                tgt = done if j in done else out
+                w = out.get(j, 0) - c * x
                 if w:
-                    tgt[j] = w
+                    out[j] = w
                 else:
-                    tgt.pop(j, None)
+                    out.pop(j, None)
         return done
 
     def contains(self, vec: dict) -> bool:

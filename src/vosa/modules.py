@@ -194,12 +194,12 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace) -> dict:
 def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1)) -> dict:
     """Full certification: stabilized upper bound against zero-mode rank.
 
-    The upper bound is the echelon quotient by the relations u circ v
-    with u a generator mode, plus the twist-odd monomials (o_relations);
-    the lower bound is zhu_rank of the omega_umats matrices: the
-    zero-mode action on Omega(M) of the twisted module, computed to
-    degree 1.  Certified means the bounds meet, the basis is the same at
-    max_weight and max_weight + 1/2, and the guard band is covered.
+    The upper bound is the echelon quotient by o_relations, one relation
+    per monomial that is not a basis candidate; the lower bound is
+    zhu_rank of the omega_umats matrices: the zero-mode action on
+    Omega(M) of the twisted module, computed to degree 1.  Certified
+    means the bounds meet, the basis is the same at max_weight and
+    max_weight + 1/2, and the guard band is covered.
     """
     alg, _, stable = stabilized(ctx, max_weight, margin)
     om = OmegaSpace(twisted_module(ctx), Fraction(1))

@@ -44,9 +44,9 @@ class TwistContext:
     from support.  g must preserve the pairing: support[i] + support[j]
     is an integer for every paired (i, j), otherwise ValueError.
 
-    star, circ and the reduction family are residue sums
-    sum_s binom(alpha, s) u_{s-k} v with products taken in the sector
-    itself; fields.residue_terms expands them.
+    star and circ are residue sums sum_s binom(alpha, s) u_{s-k} v with
+    products taken in the sector itself; fields.residue_terms expands
+    them.
     """
 
     def __init__(self, name: str, sector: Sector, support: dict):
@@ -83,8 +83,11 @@ class TwistContext:
         return out
 
     def circ(self, u: State, v: State) -> State:
-        """The product whose span is the ideal O_g."""
-        return self.reduction_family(u, v, 0, 0)
+        """The product whose span is the ideal O_g: the residue sum with
+        alpha = wt u - 1 + delta + r* and k = delta + 1."""
+        wu, rs = self._homogeneous(u)
+        d = 1 if rs == 0 else 0
+        return self._residue_sum(u, v, wu - 1 + d + rs, d + 1)
 
     def star(self, u: State, v: State) -> State:
         """The product inducing the associative multiplication on A_g."""
@@ -92,15 +95,6 @@ class TwistContext:
         if rs != 0:
             return {}
         return self._residue_sum(u, v, wu, 1)
-
-    def reduction_family(self, u: State, v: State, m: int, n: int) -> State:
-        """Members of O_g indexed by m >= n >= 0; (0, 0) is circ."""
-        if not m >= n >= 0:
-            raise ValueError("need m >= n >= 0")
-        wu, rs = self._homogeneous(u)
-        d = 1 if rs == 0 else 0
-        alpha = wu - 1 + d + rs + n
-        return self._residue_sum(u, v, alpha, m + d + 1)
 
 
 def ctx_sigma(l: int) -> TwistContext:
@@ -131,46 +125,50 @@ def _mono_state(m: Monomial) -> State:
 
 
 def o_relations(ctx: TwistContext, w_ambient, w_skip=Fraction(-1)):
-    """Generate members of O_g supported inside weight <= w_ambient.
+    """One member of O_g per monomial m of weight in (w_skip, w_ambient]
+    that is not a basis candidate, led (under graded_key) by m.
 
-    Yields the twist-odd monomials, which lie in O_g outright, and the
-    products u circ v with u a single-factor monomial (a generator mode
-    of any weight) and v any basis monomial.  O_g is by definition the
-    span of the circ products; restricting u to generator modes rests on
-    the classes of the strong generators generating A_g(V), and the wider
-    (m, n) reduction family is a consequence of these products that the
-    tests check.  This is sound without either fact: any subset of O_g
+    A twist-odd m lies in O_g and is its own relation.  Otherwise the
+    first factor (mu, a) of m with mu + delta(a) <= -1/2 gives the
+    generator mode u = ((mu + delta(a), a),) and the relation u circ v,
+    v the rest of m; RuntimeError if m is not its lead or has coefficient
+    0 there.  Monomials with no such factor are the basis candidates.
+    Distinct leads make the relations independent.  Any subset of O_g
     gives an upper bound that the certification squeeze still has to
-    meet, and reducing modulo a sub-span either returns the true class or
+    meet, and reducing modulo its span either returns the true class or
     raises because the class escapes the truncation.
-
-    Every vector is complete (never truncated), so the span is a genuine
-    subspace of O_g.  Vectors whose top weight is at most w_skip are
-    omitted (they were generated by an earlier pass).
     """
-    basis = ctx.sector.basis(w_ambient)
-    for mono in basis:
-        if mono and ctx.rstar(mono) != 0 and weight(mono) > w_skip:
-            yield _mono_state(mono)
-    for u in basis:
-        if len(u) != 1:
+    for m in ctx.sector.basis(w_ambient):
+        if weight(m) <= w_skip:
             continue
-        lift = weight(u) + ctx.delta(u)  # top weight of u circ v, less wt v
-        for v in basis:
-            if w_skip < lift + weight(v) <= w_ambient:
-                yield ctx.circ(_mono_state(u), _mono_state(v))
+        if ctx.rstar(m) != 0:
+            yield _mono_state(m)
+            continue
+        for i, (mu, a) in enumerate(m):
+            q = mu + ctx.delta(((mu, a),))
+            if q <= -HALF:
+                break
+        else:
+            continue
+        rel = ctx.circ(_mono_state(((q, a),)),
+                       _mono_state(m[:i] + m[i + 1:]))
+        if not rel.get(m) or max(rel, key=graded_key) != m:
+            labels = ", ".join(f"({nu}, {b})" for nu, b in m)
+            raise RuntimeError(
+                f"the O_g relation for ({labels}) does not lead with it")
+        yield rel
 
 
 class ZhuAlgebra:
     """Exact model of A_g(V) from a weight-truncated echelon quotient.
 
-    The relations are those of o_relations: u circ v with u a generator
-    mode, plus the twist-odd monomials, up to weight max_weight + margin.
-    basis holds the surviving monomials of weight <= max_weight; tables
-    of structure constants are computed on demand.  dim is an upper
-    bound for the true dimension by construction; high_covered reports
-    whether every monomial in the guard band above max_weight reduces,
-    which is what makes the truncation argument close.
+    The relations are those of o_relations up to weight max_weight +
+    margin, one per monomial that is not a basis candidate.  basis holds
+    the candidates of weight <= max_weight; tables of structure constants
+    are computed on demand.  dim is an upper bound for the true dimension
+    by construction; high_covered reports whether every monomial in the
+    guard band above max_weight reduces, which is what makes the
+    truncation argument close.
     """
 
     def __init__(self, ctx: TwistContext, max_weight, margin=Fraction(1),
@@ -203,16 +201,8 @@ class ZhuAlgebra:
         if w_amb <= self._covered:
             return
         for rel in o_relations(self.ctx, w_amb, self._covered):
-            if rel:
-                self.ech.add({graded_key(m): c for m, c in rel.items()})
+            self.ech.add({graded_key(m): c for m, c in rel.items()})
         self._covered = w_amb
-        if getattr(self, "basis", None) is not None:
-            for m in self.ctx.sector.basis(self.max_weight):
-                survives = graded_key(m) not in self.ech.pivots
-                if survives != (m in self._index):
-                    raise AssertionError(
-                        "relation span changed below the cutoff; "
-                        "rebuild with a larger max_weight")
 
     def reduce(self, st: State):
         """Coordinates of a state's class in the surviving-monomial basis."""
@@ -238,9 +228,6 @@ class ZhuAlgebra:
 
     def unit_coords(self) -> dict:
         return self.reduce({(): Fraction(1)})
-
-    def contains_in_ideal(self, st: State) -> bool:
-        return not self.reduce(st)
 
     def product(self, x: dict, y: dict) -> dict:
         """Coordinates of x * y for coordinate dicts x and y: the plain

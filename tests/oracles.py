@@ -3,11 +3,15 @@
 Everything here is implemented from first principles, without using the
 package's recursion or echelon machinery, so agreement is meaningful.
 The exceptions are the plain computations that the package's pruned
-ones are checked against: full_pairs_relations, the relation generator
-over all pairs, generator_first_relations, which adds the depth-1
-reduction family to the circ products, and omega_joint_kernel, the
+ones are checked against: reduction_family, the two-parameter family of
+residue members of O_g whose (0, 0) member is circ;
+generator_circ_relations, every circ product of a generator mode with a
+basis monomial, which the package's one relation per non-basis monomial
+must span the same space as; full_pairs_relations, the relation
+generator over all pairs; generator_first_relations, which adds the
+depth-1 reduction family to the circ products; omega_joint_kernel, the
 lowest-weight space cut out by the generator and the Virasoro modes
-together, and zero_mode_rank_oracle, which reads the package's o_action
+together; and zero_mode_rank_oracle, which reads the package's o_action
 but none of its matrices or echelon.
 """
 
@@ -85,10 +89,52 @@ def integer_binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
+def reduction_family(ctx, u, v, m: int, n: int):
+    """The member (m, n), m >= n >= 0, of the residue family in O_g:
+    sum_s binom(wt u - 1 + delta + r* + n, s) u_{s-m-delta-1} v, with u
+    weight- and twist-homogeneous.  (0, 0) is circ."""
+    from vosa.exact import vec_iadd
+    from vosa.fields import residue_terms
+    from vosa.fock import weight
+
+    if not m >= n >= 0:
+        raise ValueError("need m >= n >= 0")
+    (wu,) = {weight(x) for x in u}
+    (rs,) = {ctx.rstar(x) for x in u}
+    d = 1 if rs == 0 else 0
+    out = {}
+    for _, c, prod in residue_terms(ctx.sector, u, wu - 1 + d + rs + n,
+                                    m + d + 1, v):
+        vec_iadd(out, prod, c)
+    return out
+
+
+def generator_circ_relations(ctx, w_ambient, w_skip=Fraction(-1)):
+    """The twist-odd monomials, then u circ v for every generator mode u
+    and basis monomial v with top weight in (w_skip, w_ambient]: every
+    generator-first circ product, about half of them dependent.  Same
+    positional signature as vosa.zhu.o_relations, so it can stand in for
+    it in a ZhuAlgebra build.
+    """
+    from vosa.fock import weight
+
+    basis = ctx.sector.basis(w_ambient)
+    for mono in basis:
+        if mono and ctx.rstar(mono) != 0 and weight(mono) > w_skip:
+            yield {mono: Fraction(1)}
+    for u in basis:
+        if len(u) != 1:
+            continue
+        lift = weight(u) + ctx.delta(u)  # top weight of u circ v, less wt v
+        for v in basis:
+            if w_skip < lift + weight(v) <= w_ambient:
+                yield ctx.circ({u: Fraction(1)}, {v: Fraction(1)})
+
+
 def _family_relations(ctx, w_ambient, w_skip, depth, first):
     """The twist-odd monomials, then the (m, n) reduction-family vectors
     for 0 <= n <= m <= depth and every pair (u, v) of basis monomials with
-    first(u), in the order of vosa.zhu.o_relations."""
+    first(u), in the order of generator_circ_relations."""
     from vosa.fock import weight
 
     basis = ctx.sector.basis(w_ambient)
@@ -105,8 +151,8 @@ def _family_relations(ctx, w_ambient, w_skip, depth, first):
             for m in range(depth + 1):
                 for n in range(m + 1):
                     if w_skip < top + m <= w_ambient:
-                        yield ctx.reduction_family(
-                            {u: Fraction(1)}, {v: Fraction(1)}, m, n)
+                        yield reduction_family(
+                            ctx, {u: Fraction(1)}, {v: Fraction(1)}, m, n)
 
 
 def full_pairs_relations(ctx, w_ambient, w_skip=Fraction(-1), *, depth=1):
@@ -123,9 +169,9 @@ def full_pairs_relations(ctx, w_ambient, w_skip=Fraction(-1), *, depth=1):
 def generator_first_relations(ctx, w_ambient, w_skip=Fraction(-1), *,
                               depth=1):
     """Generator-first reduction-family vectors up to the given depth:
-    u runs over the generator modes only, as in vosa.zhu.o_relations,
+    u runs over the generator modes only, as in generator_circ_relations,
     which keeps only the circ products (depth 0).  Same positional
-    signature as o_relations.
+    signature as vosa.zhu.o_relations.
     """
     return _family_relations(ctx, w_ambient, w_skip, depth,
                              lambda u: len(u) == 1)

@@ -6,6 +6,7 @@ test prints a single pass line naming the criterion it certifies.
 
 from fractions import Fraction
 
+from oracles import reduction_family
 from vosa.exact import vec_iadd
 from vosa.fields import (Virasoro, min_assoc_exponent, mode, mode_offset,
                          verify_associativity, verify_commutator,
@@ -138,9 +139,9 @@ def test_criterion_6_identity_suites():
         for v in (gen(0), gen(1)):
             for m in range(3):
                 for n in range(m + 1):
-                    rel = ctx.reduction_family(u, v, m, n)
+                    rel = reduction_family(ctx, u, v, m, n)
                     if rel:
-                        assert alg.contains_in_ideal(rel)
+                        assert alg.reduce(rel) == {}
 
     # (f) quotient algebra: associative, unital, omega central, on the
     # full multiplication tables

@@ -315,7 +315,7 @@ def test_negative_depth_rejected(capsys):
     assert err.startswith("error: --depth") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("damage", ["truncate", "schema"])
+@pytest.mark.parametrize("damage", ["truncate", "schema", "fields"])
 def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, damage):
     cache = tmp_path / "cache"
     args = ["--l", "1", "--twist", "sigma", "--max-weight", "2",
@@ -325,21 +325,53 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, damage):
     text = entry.read_text()
     if damage == "truncate":
         entry.write_text(text[:len(text) // 2])
-    else:
+    elif damage == "schema":
         entry.write_text(text.replace(SCHEMA, "vosa-zhu/0"))
+    else:
+        # a well-formed entry stripped to the fields that used to suffice
+        entry.write_text(json.dumps({"schema": SCHEMA, "certified": True}))
     assert _zhu_stdout(capsys, *args) == cold
     # the entry was recomputed and rewritten whole
     assert json.loads(entry.read_text())["schema"] == SCHEMA
     assert _zhu_stdout(capsys, *args) == cold
 
 
-@pytest.mark.parametrize("flags", [["--l", "0"], ["--max-weight", "-1"],
-                                   ["--margin", "0"]],
-                         ids=["l", "max-weight", "margin"])
-def test_out_of_range_input_rejected(capsys, flags):
-    assert main(["zhu", *flags]) == EXIT_ERROR
+@pytest.mark.parametrize("certify", [False, True],
+                         ids=["plain", "certify"])
+def test_warm_run_is_a_cache_hit(tmp_path, capsys, monkeypatch, certify):
+    import vosa.cli
+
+    args = ["--l", "1", "--max-weight", "2", "--cache-dir",
+            str(tmp_path / "cache")] + (["--certify"] if certify else [])
+    cold = _zhu_stdout(capsys, *args)
+
+    def recompute(ctx, args):
+        raise AssertionError("the cached report was recomputed")
+
+    monkeypatch.setattr(vosa.cli, "_zhu_report", recompute)
+    assert _zhu_stdout(capsys, *args) == cold
+
+
+@pytest.mark.parametrize("argv", [
+    ["zhu", "--l", "0"], ["zhu", "--max-weight", "-1"],
+    ["zhu", "--margin", "0"], ["zhu", "--l", "x"], ["zhu", "--twist", "foo"],
+    ["zhu", "--max-weight", "1/0"], []],
+    ids=["l", "max-weight", "margin", "l-malformed", "twist-unknown",
+         "max-weight-malformed", "no-subcommand"])
+def test_out_of_range_input_rejected(capsys, argv):
+    assert main(argv) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and "usage:" not in err
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["zhu", "--help"]],
+                         ids=["version", "help"])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, AssertionError])

@@ -1,21 +1,26 @@
-"""Generator-first circ relations and the incremental stabilization cutoff.
+"""One O_g relation per non-basis monomial and the incremental
+stabilization cutoff.
 
-The package generates O_g from the products u circ v with a generator
-mode as first argument, and grows the second cutoff from the first
-one's echelon.  Both are checked here against the plain computations:
-the full-pairs relation generator, the depth-1 reduction family with a
-generator first, and a from-scratch build at the second cutoff.
+The package generates O_g from one relation per monomial that is not a
+basis candidate, each led by its monomial, and grows the second cutoff
+from the first one's echelon.  Both are checked here against the plain
+computations: every generator-first circ product, the full-pairs
+relation generator, the depth-1 reduction family with a generator
+first, and a from-scratch build at the second cutoff.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from oracles import full_pairs_relations, generator_first_relations
+from oracles import (full_pairs_relations, generator_circ_relations,
+                     generator_first_relations)
 from vosa import modules, zhu
+from vosa.cli import EXIT_ERROR, main
+from vosa.fock import graded_key, ns_polarized
 from vosa.modules import certified_zhu
-from vosa.zhu import (ZhuAlgebra, ctx_identity, ctx_sigma, ctx_tau,
-                      stabilized)
+from vosa.zhu import (TwistContext, ZhuAlgebra, ctx_identity, ctx_sigma,
+                      ctx_tau, stabilized)
 
 H = Fraction(1, 2)
 
@@ -82,17 +87,72 @@ def _certification(ctx, w, margin, monkeypatch):
             report)
 
 
-@pytest.mark.parametrize("ctx,w,margin", (
+LADDER = (
     [pytest.param(ctx_sigma(l), Fraction(5, 2) if l < 4 else Fraction(2),
                   Fraction(2), id=f"sigma{l}") for l in (1, 2, 3, 4)]
     + [pytest.param(ctx_identity(l), Fraction(2), Fraction(1), id=f"id{l}")
        for l in (1, 2, 3)]
-    + [pytest.param(ctx_tau(), Fraction(2), Fraction(1), id="tau"),
-       pytest.param(ctx_sigma(3), Fraction(1), Fraction(1),
-                    id="sigma3-low")]))
+    + [pytest.param(ctx_tau(), Fraction(2), Fraction(1), id="tau")])
+
+# diagonal twists beyond order 2: g*sigma of order 3, 6 and 4 acts on
+# each generator by exp(2 pi i support)
+ROTATIONS = [
+    pytest.param(TwistContext(name, ns_polarized(len(support)),
+                              dict(enumerate(support))),
+                 Fraction(2), Fraction(1), id=name)
+    for name, support in [
+        ("rot3", (Fraction(1, 3), Fraction(2, 3), 0)),
+        ("rot6", (Fraction(1, 6), Fraction(5, 6))),
+        ("rot4", (Fraction(1, 4), 0, Fraction(3, 4), 0))]]
+
+
+@pytest.mark.parametrize("ctx,w,margin", LADDER + ROTATIONS)
+def test_one_relation_per_monomial_matches_generator_circ(ctx, w, margin,
+                                                          monkeypatch):
+    one_each = _certification(ctx, w, margin, monkeypatch)
+    o_relations = zhu.o_relations
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        for rel in o_relations(*args):
+            count += 1
+            yield rel
+
+    with monkeypatch.context() as mp:
+        mp.setattr(zhu, "o_relations", counted)
+        alg = ZhuAlgebra(ctx, w, margin)
+    # every relation's lead is new, so none is eliminated
+    assert count == alg.ech.rank
+    monkeypatch.setattr(zhu, "o_relations", generator_circ_relations)
+    every = _certification(ctx, w, margin, monkeypatch)
+    for got, want in zip(one_each, every):
+        assert got == want
+
+
+def test_relation_without_its_lead_is_an_error(monkeypatch, capsys):
+    circ = TwistContext.circ
+
+    def lead_dropped(self, u, v):
+        # the leading monomial of u circ v is the one it is generated for
+        rel = circ(self, u, v)
+        if rel:
+            del rel[max(rel, key=graded_key)]
+        return rel
+
+    monkeypatch.setattr(TwistContext, "circ", lead_dropped)
+    monkeypatch.delenv("VOSA_CACHE_DIR", raising=False)
+    with pytest.raises(RuntimeError):
+        ZhuAlgebra(ctx_sigma(2), 2)
+    assert main(["zhu", "--l", "2"]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: the O_g relation")
+
+
+@pytest.mark.parametrize("ctx,w,margin", LADDER + [
+    pytest.param(ctx_sigma(3), Fraction(1), Fraction(1), id="sigma3-low")])
 def test_circ_only_matches_depth_one_family(ctx, w, margin, monkeypatch):
     # the (1, 0) and (1, 1) reduction-family members add nothing to the
-    # span of the generator-first circ products
+    # span of the circ products
     circ_only = _certification(ctx, w, margin, monkeypatch)
     monkeypatch.setattr(zhu, "o_relations", generator_first_relations)
     family = _certification(ctx, w, margin, monkeypatch)

@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import reduction_family
 from vosa.exact import vec_iadd
 from vosa.fields import Virasoro
 from vosa.fock import ns_polarized
@@ -65,7 +66,7 @@ def test_circ_of_generators_lands_in_ideal():
         for h in (0, 1):
             circ = ctx.circ(gen(g), gen(h))
             if circ:
-                assert alg.contains_in_ideal(circ)
+                assert alg.reduce(circ) == {}
 
 
 def test_reduction_family_lands_in_ideal():
@@ -79,15 +80,15 @@ def test_reduction_family_lands_in_ideal():
         for v in states:
             for m in range(3):
                 for n in range(m + 1):
-                    rel = ctx.reduction_family(u, v, m, n)
+                    rel = reduction_family(ctx, u, v, m, n)
                     if rel:
-                        assert alg.contains_in_ideal(rel)
+                        assert alg.reduce(rel) == {}
 
 
 def test_reduction_family_requires_m_ge_n():
     ctx = ctx_sigma(2)
     with pytest.raises(ValueError):
-        ctx.reduction_family(gen(0), gen(1), 0, 1)
+        reduction_family(ctx, gen(0), gen(1), 0, 1)
 
 
 # ------------------------------------------------------------ twist data
