@@ -31,7 +31,10 @@ def _frac(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        why = "zero denominator in"
+    except ValueError:
+        why = "not a rational number:"
+    raise argparse.ArgumentTypeError(f"{why} {text!r}")
 
 
 def _context(args):
@@ -490,7 +493,7 @@ def _config_value(action, val, where: str):
         raise bad
     try:
         value = action.type(str(val)) if action.type else val
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise bad from None
     if action.choices is not None and value not in action.choices:
         raise ValueError(f"{where}: invalid choice {json.dumps(val)} "

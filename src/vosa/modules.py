@@ -36,11 +36,9 @@ from .fock import (
     state_weight,
     weight,
 )
-from .fields import (Virasoro, commutator_defect, mode, o_action,
+from .fields import (HALF, Virasoro, commutator_defect, mode, o_action,
                      state_parity)
-from .zhu import TwistContext, ZhuAlgebra, _mono_state, stabilized
-
-HALF = Fraction(1, 2)
+from .zhu import TwistContext, ZhuAlgebra, _mono_state
 
 
 def _zero_mode_policies(ctx: TwistContext) -> dict:
@@ -194,17 +192,23 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace) -> dict:
 def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1)) -> dict:
     """Full certification: stabilized upper bound against zero-mode rank.
 
-    The upper bound is the echelon quotient by o_relations, one relation
-    per monomial that is not a basis candidate; the lower bound is
-    zhu_rank of the omega_umats matrices: the zero-mode action on
-    Omega(M) of the twisted module, computed to degree 1.  Certified
-    means the bounds meet, the basis is the same at max_weight and
-    max_weight + 1/2, and the guard band is covered.
+    The upper bound is the echelon quotient of one ZhuAlgebra build by
+    o_relations; the lower bound is zhu_rank of the omega_umats matrices:
+    the zero-mode action on Omega(M) of the twisted module, computed to
+    degree 1.  Stabilized means no monomial of weight in (max_weight,
+    max_weight + 1/2] is free in that build (with margin >= 1/2 it has
+    already enumerated that band), so the basis one half-weight higher
+    is the same.  reasons lists the failed checks in a fixed order;
+    certified means there are none.
     """
-    alg, _, stable = stabilized(ctx, max_weight, margin)
+    alg = ZhuAlgebra(ctx, max_weight, margin)
+    stable = alg.free_monomials(alg.max_weight + HALF) == alg.basis
     om = OmegaSpace(twisted_module(ctx), Fraction(1))
     lower = zhu_rank(omega_umats(alg, om)[0])
-    certified = stable and alg.high_covered and lower == alg.dim
+    checks = {"not_stabilized": stable,
+              "guard_band_not_covered": alg.high_covered,
+              "bounds_apart": lower == alg.dim}
+    reasons = [why for why, ok in checks.items() if not ok]
     return {
         "algebra": alg,
         "omega": om,
@@ -212,7 +216,8 @@ def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1)) -> dict:
         "dim_lower": lower,
         "stabilized": stable,
         "high_covered": alg.high_covered,
-        "certified": certified,
+        "certified": not reasons,
+        "reasons": reasons,
     }
 
 

@@ -28,9 +28,7 @@ from .fock import (
     ns_polarized,
     weight,
 )
-from .fields import residue_terms
-
-HALF = Fraction(1, 2)
+from .fields import HALF, residue_terms
 
 
 class TwistContext:
@@ -163,31 +161,23 @@ class ZhuAlgebra:
     """Exact model of A_g(V) from a weight-truncated echelon quotient.
 
     The relations are those of o_relations up to weight max_weight +
-    margin, one per monomial that is not a basis candidate.  basis holds
-    the candidates of weight <= max_weight; tables of structure constants
-    are computed on demand.  dim is an upper bound for the true dimension
-    by construction; high_covered reports whether every monomial in the
-    guard band above max_weight reduces, which is what makes the
-    truncation argument close.
+    margin, one per monomial that is not a basis candidate, and each
+    relation's lead is its pivot.  basis holds the free monomials (those
+    that are no pivot) of weight <= max_weight; tables of structure
+    constants are computed on demand.  dim is an upper bound for the
+    true dimension by construction; high_covered reports whether every
+    monomial in the guard band above max_weight reduces, which is what
+    makes the truncation argument close.
     """
 
-    def __init__(self, ctx: TwistContext, max_weight, margin=Fraction(1),
-                 *, _below: ZhuAlgebra | None = None):
+    def __init__(self, ctx: TwistContext, max_weight, margin=Fraction(1)):
         self.ctx = ctx
         self.max_weight = Fraction(max_weight)
         self.margin = Fraction(margin)
-        w_amb = self.max_weight + self.margin
         self.ech = Echelon()
         self._covered = Fraction(-1)
-        if _below is not None:
-            # stabilized(): start from a freshly built lower cutoff of the
-            # same context; echelon rows are never mutated once stored,
-            # so the two algebras can share them
-            self.ech.pivots = dict(_below.ech.pivots)
-            self._covered = _below._covered
-        self._extend(w_amb)
-        ambient = ctx.sector.basis(w_amb)
-        free = [m for m in ambient if graded_key(m) not in self.ech.pivots]
+        self._free_to = Fraction(-1)
+        free = self.free_monomials(self.max_weight + self.margin)
         self.basis = [m for m in free if weight(m) <= self.max_weight]
         self.high_covered = len(free) == len(self.basis)
         self.dim = len(self.basis)
@@ -195,6 +185,18 @@ class ZhuAlgebra:
         self._table = {}
         self._gen_mult = None
         self._left = None
+
+    def free_monomials(self, w) -> list:
+        """The monomials of weight <= w that are no pivot, in graded
+        order, growing the relation span to w first.  Every pivot leads
+        its own relation, so the pivots of weight <= w are final once w
+        is covered, and an enumerated window is read as it stands."""
+        if w > self._free_to:
+            self._extend(w)
+            self._free = [m for m in self.ctx.sector.basis(w)
+                          if graded_key(m) not in self.ech.pivots]
+            self._free_to = w
+        return [m for m in self._free if weight(m) <= w]
 
     def _extend(self, w_amb) -> None:
         """Grow the relation span to cover monomials of weight <= w_amb."""
@@ -316,19 +318,6 @@ class ZhuAlgebra:
                 mat_lincomb(mats, a, self.dim)
                 for a in span_coordinates([c for c, _ in words], units)]
         return self._left
-
-
-def stabilized(ctx: TwistContext, max_weight, margin=Fraction(1)):
-    """Build the algebra at two consecutive cutoffs and insist they agree.
-
-    The second cutoff, max_weight + 1/2, grows the first one's echelon by
-    only the relations whose top weight lies in the new half-weight band.
-    Its row space, and so its pivot keys, basis and reductions, are those
-    of a from-scratch build at that cutoff.
-    """
-    a = ZhuAlgebra(ctx, max_weight, margin)
-    b = ZhuAlgebra(ctx, a.max_weight + HALF, margin, _below=a)
-    return a, b, a.basis == b.basis
 
 
 def center_basis(alg: ZhuAlgebra) -> list[dict]:

@@ -9,7 +9,9 @@ generator_circ_relations, every circ product of a generator mode with a
 basis monomial, which the package's one relation per non-basis monomial
 must span the same space as; full_pairs_relations, the relation
 generator over all pairs; generator_first_relations, which adds the
-depth-1 reduction family to the circ products; omega_joint_kernel, the
+depth-1 reduction family to the circ products; two_cutoff_stabilized,
+the comparison of from-scratch builds at two consecutive cutoffs that
+the package reads off one build; omega_joint_kernel, the
 lowest-weight space cut out by the generator and the Virasoro modes
 together; and zero_mode_rank_oracle, which reads the package's o_action
 but none of its matrices or echelon.
@@ -175,6 +177,17 @@ def generator_first_relations(ctx, w_ambient, w_skip=Fraction(-1), *,
     """
     return _family_relations(ctx, w_ambient, w_skip, depth,
                              lambda u: len(u) == 1)
+
+
+def two_cutoff_stabilized(ctx, max_weight, margin=Fraction(1)):
+    """Build the algebra from scratch at max_weight and at max_weight +
+    1/2, with the same margin, and compare the bases: (low, high,
+    whether they agree)."""
+    from vosa.zhu import ZhuAlgebra
+
+    low = ZhuAlgebra(ctx, max_weight, margin)
+    high = ZhuAlgebra(ctx, low.max_weight + Fraction(1, 2), margin)
+    return low, high, low.basis == high.basis
 
 
 def omega_joint_kernel(space, d):

@@ -352,17 +352,28 @@ def test_warm_run_is_a_cache_hit(tmp_path, capsys, monkeypatch, certify):
     assert _zhu_stdout(capsys, *args) == cold
 
 
-@pytest.mark.parametrize("argv", [
-    ["zhu", "--l", "0"], ["zhu", "--max-weight", "-1"],
-    ["zhu", "--margin", "0"], ["zhu", "--l", "x"], ["zhu", "--twist", "foo"],
-    ["zhu", "--max-weight", "1/0"], []],
+@pytest.mark.parametrize("argv,says", [
+    (["zhu", "--l", "0"], ""), (["zhu", "--max-weight", "-1"], ""),
+    (["zhu", "--margin", "0"], ""), (["zhu", "--l", "x"], ""),
+    (["zhu", "--twist", "foo"], ""),
+    (["zhu", "--max-weight", "1/0"], "zero denominator in '1/0'"),
+    (["zhu", "--margin", "x"], "not a rational number: 'x'"),
+    (["induce", "--depth", "x"], "not a rational number: 'x'"),
+    (["zhu", "--config", "CONF"], 'max-weight: invalid value "1/0"'),
+    ([], "")],
     ids=["l", "max-weight", "margin", "l-malformed", "twist-unknown",
-         "max-weight-malformed", "no-subcommand"])
-def test_out_of_range_input_rejected(capsys, argv):
+         "max-weight-malformed", "margin-malformed", "depth-malformed",
+         "config-zero-denominator", "no-subcommand"])
+def test_out_of_range_input_rejected(tmp_path, capsys, argv, says):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"max-weight": "1/0"}))
+    argv = [str(conf) if a == "CONF" else a for a in argv]
     assert main(argv) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1 and "usage:" not in err
+    # the message names the value's fault, not a private parser function
+    assert says in err and "_frac" not in err
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["zhu", "--help"]],

@@ -1,12 +1,13 @@
-"""One O_g relation per non-basis monomial and the incremental
-stabilization cutoff.
+"""One O_g relation per non-basis monomial and the one-build
+stabilization check.
 
 The package generates O_g from one relation per monomial that is not a
-basis candidate, each led by its monomial, and grows the second cutoff
-from the first one's echelon.  Both are checked here against the plain
-computations: every generator-first circ product, the full-pairs
-relation generator, the depth-1 reduction family with a generator
-first, and a from-scratch build at the second cutoff.
+basis candidate, each led by its monomial, and certifies from a single
+build: the basis is stable when no monomial of the next half-weight band
+is free there.  Both are checked here against the plain computations:
+every generator-first circ product, the full-pairs relation generator,
+the depth-1 reduction family with a generator first, and from-scratch
+builds at two consecutive cutoffs.
 """
 
 from fractions import Fraction
@@ -14,13 +15,13 @@ from fractions import Fraction
 import pytest
 
 from oracles import (full_pairs_relations, generator_circ_relations,
-                     generator_first_relations)
+                     generator_first_relations, two_cutoff_stabilized)
 from vosa import modules, zhu
 from vosa.cli import EXIT_ERROR, main
 from vosa.fock import graded_key, ns_polarized
 from vosa.modules import certified_zhu
 from vosa.zhu import (TwistContext, ZhuAlgebra, ctx_identity, ctx_sigma,
-                      ctx_tau, stabilized)
+                      ctx_tau)
 
 H = Fraction(1, 2)
 
@@ -69,22 +70,14 @@ def _star_table(alg):
     return table
 
 
-def _certification(ctx, w, margin, monkeypatch):
-    """Pivot keys at both cutoffs, basis, full star table and report of
-    one certified_zhu run."""
-    builds = []
-
-    def keep(*args):
-        builds.append(stabilized(*args))
-        return builds[-1]
-
-    with monkeypatch.context() as mp:
-        mp.setattr(modules, "stabilized", keep)
-        rep = certified_zhu(ctx, w, margin)
-    (a, b, _), = builds
+def _certification(ctx, w, margin):
+    """Pivot keys after the stability check, basis, full star table and
+    report of one certified_zhu run."""
+    rep = certified_zhu(ctx, w, margin)
+    alg = rep["algebra"]
+    pivots = set(alg.ech.pivots)
     report = {k: v for k, v in rep.items() if k not in ("algebra", "omega")}
-    return (set(a.ech.pivots), set(b.ech.pivots), a.basis, _star_table(a),
-            report)
+    return pivots, alg.basis, _star_table(alg), report
 
 
 LADDER = (
@@ -109,7 +102,7 @@ ROTATIONS = [
 @pytest.mark.parametrize("ctx,w,margin", LADDER + ROTATIONS)
 def test_one_relation_per_monomial_matches_generator_circ(ctx, w, margin,
                                                           monkeypatch):
-    one_each = _certification(ctx, w, margin, monkeypatch)
+    one_each = _certification(ctx, w, margin)
     o_relations = zhu.o_relations
     count = 0
 
@@ -125,7 +118,7 @@ def test_one_relation_per_monomial_matches_generator_circ(ctx, w, margin,
     # every relation's lead is new, so none is eliminated
     assert count == alg.ech.rank
     monkeypatch.setattr(zhu, "o_relations", generator_circ_relations)
-    every = _certification(ctx, w, margin, monkeypatch)
+    every = _certification(ctx, w, margin)
     for got, want in zip(one_each, every):
         assert got == want
 
@@ -153,23 +146,34 @@ def test_relation_without_its_lead_is_an_error(monkeypatch, capsys):
 def test_circ_only_matches_depth_one_family(ctx, w, margin, monkeypatch):
     # the (1, 0) and (1, 1) reduction-family members add nothing to the
     # span of the circ products
-    circ_only = _certification(ctx, w, margin, monkeypatch)
+    circ_only = _certification(ctx, w, margin)
     monkeypatch.setattr(zhu, "o_relations", generator_first_relations)
-    family = _certification(ctx, w, margin, monkeypatch)
+    family = _certification(ctx, w, margin)
     for got, want in zip(circ_only, family):
         assert got == want
 
 
-@pytest.mark.parametrize("ctx,w", [(ctx_sigma(2), Fraction(5, 2)),
-                                   (ctx_sigma(3), Fraction(1)),
-                                   (ctx_tau(), Fraction(2))],
-                         ids=["sigma2", "sigma3-low", "tau"])
-def test_second_cutoff_equals_from_scratch_build(ctx, w):
-    _, grown, _ = stabilized(ctx, w)
-    fresh = ZhuAlgebra(ctx, w + H)
-    assert set(grown.ech.pivots) == set(fresh.ech.pivots)
-    assert grown.basis == fresh.basis
-    assert grown.high_covered == fresh.high_covered
+@pytest.mark.parametrize("ctx,w,margin", LADDER + ROTATIONS + [
+    pytest.param(ctx_sigma(3), Fraction(1), Fraction(1), id="sigma3-low")]
+    + [pytest.param(ctx, Fraction(2), margin, id=f"{name}-margin-{size}")
+       for name, ctx in [("sigma2", ctx_sigma(2)), ("tau", ctx_tau())]
+       for size, margin in [("quarter", H / 2), ("half", H)]])
+def test_one_build_stability_matches_two_cutoffs(ctx, w, margin):
+    # margin 1/4 is the case where the single build has to extend its
+    # relation span to w + 1/2 before it reads the flag
+    rep = certified_zhu(ctx, w, margin)
+    alg = rep["algebra"]
+    low, high, stable = two_cutoff_stabilized(ctx, w, margin)
+    assert rep["stabilized"] == stable
+    assert rep["high_covered"] == low.high_covered
+    assert rep["dim_upper"] == low.dim
+    assert alg.basis == low.basis
+    # the single build's pivots are the from-scratch ones over the window
+    # it covers: the guard band, or the next half-weight band if wider
+    top = w + max(margin, H)
+    assert set(alg.ech.pivots) == {k for k in high.ech.pivots if k[0] <= top}
+    assert {k for k in alg.ech.pivots if k[0] <= w + margin} == set(
+        low.ech.pivots)
 
 
 def test_low_cutoff_stays_uncertified():
@@ -180,9 +184,22 @@ def test_low_cutoff_stays_uncertified():
     assert not rep["stabilized"]
     assert not rep["high_covered"]
     assert not rep["certified"]
+    assert rep["reasons"] == ["not_stabilized", "guard_band_not_covered"]
+
+
+def test_bounds_apart_is_a_reason(monkeypatch):
+    # no shipped cutoff has the bounds apart, so the zero-mode rank is
+    # made to fall one short
+    rank = modules.zhu_rank
+    monkeypatch.setattr(modules, "zhu_rank", lambda mats: rank(mats) - 1)
+    rep = certified_zhu(ctx_sigma(2), Fraction(2))
+    assert rep["dim_lower"] == rep["dim_upper"] - 1
+    assert rep["stabilized"] and rep["high_covered"]
+    assert not rep["certified"]
+    assert rep["reasons"] == ["bounds_apart"]
 
 
 def test_sigma5_certified_dimension():
     rep = certified_zhu(ctx_sigma(5), Fraction(5, 2))
-    assert rep["certified"]
+    assert rep["certified"] and rep["reasons"] == []
     assert rep["dim_upper"] == rep["dim_lower"] == 32

@@ -70,8 +70,7 @@ def test_tracer_installs_and_runs_warm_up():
     assert out["found"] == []
     assert out["shape"] == [2, True, True]
     assert out["zhu_mode_calls"] > 0
-    for name in ("zhu.build", "zhu.relations", "zhu.second_cutoff",
-                 "fields.mode", "fock.basis", "modules.certify",
+    for name in ("zhu.build", "zhu.relations", "fields.mode", "fock.basis", "modules.certify",
                  "zhu.blocks", "modules.omega", "modules.induce",
                  "modules.zhu_rank", "exact.nullspace"):
         assert out["calls"].get(name, 0) > 0, name
@@ -80,3 +79,8 @@ def test_tracer_installs_and_runs_warm_up():
     assert (out["counts"]["fields.mode_cache_entries"]
             > out["counts"]["fields.mode_cache_module_entries"])
     assert out["counts"].get("zhu.relations_generated", 0) > 0
+    # a certification builds its algebra once: no second cutoff is
+    # opened, and each relation adds one pivot
+    assert "zhu.second_cutoff" not in out["calls"]
+    assert (out["counts"].get("zhu.relations_independent")
+            == out["counts"]["zhu.relations_generated"])

@@ -10,10 +10,10 @@ from oracles import reduction_family
 from vosa.exact import vec_iadd
 from vosa.fields import Virasoro
 from vosa.fock import ns_polarized
-from vosa.modules import twisted_module
+from vosa.modules import certified_zhu, twisted_module
 from vosa.zhu import (TwistContext, ZhuAlgebra, block_profile, center_basis,
                      ctx_identity, ctx_sigma, ctx_tau, separating_element,
-                     stabilized, trace_form_radical_dim)
+                     trace_form_radical_dim)
 
 H = Fraction(1, 2)
 ONE = Fraction(1)
@@ -129,10 +129,10 @@ def test_twist_must_preserve_the_pairing():
                                      (3, 8, Fraction(5, 2)),
                                      (4, 16, Fraction(2))])
 def test_sigma_dimensions(l, dim, w):
-    alg, alg2, ok = stabilized(ctx_sigma(l), w)
-    assert ok
-    assert alg.dim == dim
-    assert alg.high_covered
+    rep = certified_zhu(ctx_sigma(l), w)
+    assert rep["stabilized"]
+    assert rep["dim_upper"] == rep["algebra"].dim == dim
+    assert rep["high_covered"]
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
@@ -143,8 +143,8 @@ def test_untwisted_dimension_one(l):
 
 
 def test_tau_dimension_two():
-    alg, alg2, ok = stabilized(ctx_tau(), Fraction(2))
-    assert ok and alg.dim == 2
+    rep = certified_zhu(ctx_tau(), Fraction(2))
+    assert rep["stabilized"] and rep["dim_upper"] == 2
 
 
 # -------------------------------------------------------------- structure
