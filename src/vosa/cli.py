@@ -61,12 +61,34 @@ def _cache_key(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _is_flag(x) -> bool:
+    return type(x) is bool
+
+
+# the type of each field _zhu_report writes, as JSON reads it back
+_ENTRY_TYPES = {
+    "dim": _is_count,
+    "dim_lower": _is_count,
+    "certified": _is_flag,
+    "stabilized": _is_flag,
+    "blocks": lambda x: x is None or (type(x) is list and all(
+        type(b) is int and b > 0 for b in x)),
+    "center_dim": lambda x: x is None or _is_count(x),
+    "radical_dim": lambda x: x is None or _is_count(x),
+}
+
+
 def _cache_get(cache_dir, key, args):
     """The cached zhu report for args, or None on a miss.
 
     An entry that is not the report _zhu_report writes for args (a
-    truncated write, a foreign file, another schema, other fields,
-    another twist or l) is a miss too; the recomputed report replaces it.
+    truncated write, a foreign file, another schema, other fields, a
+    field of another type, another twist or l) is a miss too; the
+    recomputed report replaces it.
     """
     if not cache_dir:
         return None
@@ -82,7 +104,9 @@ def _cache_get(cache_dir, key, args):
     want = {"schema": SCHEMA, "command": "zhu", "twist": args.twist,
             "l": args.l}
     if (not isinstance(entry, dict) or entry.keys() != fields | want.keys()
-            or any(entry[k] != v for k, v in want.items())):
+            or any(type(entry[k]) is not type(v) or entry[k] != v
+                   for k, v in want.items())
+            or not all(_ENTRY_TYPES[k](entry[k]) for k in fields)):
         return None
     return entry
 

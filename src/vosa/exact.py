@@ -104,16 +104,21 @@ class Echelon:
         self.pivots[max(row)] = row
         return True
 
-    def reduce(self, vec: dict) -> dict:
+    def reduce(self, vec: dict, fill=None) -> dict:
         """Canonical representative of vec modulo the row space.
 
         The result is supported only on non-pivot keys and is linear in vec.
+        fill, if given, is called with each key the reduction reaches that
+        has no pivot; a nonzero row it returns must lead with that key and
+        is added as its pivot, so the row space grows as it is read.
         """
         out = {k: Fraction(x) for k, x in vec.items() if x}
         done: dict = {}
         while out:
             k = max(out)
             p = self.pivots.get(k)
+            if p is None and fill is not None and self.add(fill(k)):
+                p = self.pivots[k]
             if p is None:
                 done[k] = out.pop(k)
                 continue

@@ -192,14 +192,16 @@ def zhu_action_report(alg: ZhuAlgebra, om: OmegaSpace) -> dict:
 def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1)) -> dict:
     """Full certification: stabilized upper bound against zero-mode rank.
 
-    The upper bound is the echelon quotient of one ZhuAlgebra build by
-    o_relations; the lower bound is zhu_rank of the omega_umats matrices:
+    The upper bound is the dim of one ZhuAlgebra build: the count of
+    free monomials (those that lead no relation of o_relations) up to
+    max_weight; the lower bound is zhu_rank of the omega_umats matrices:
     the zero-mode action on Omega(M) of the twisted module, computed to
-    degree 1.  Stabilized means no monomial of weight in (max_weight,
-    max_weight + 1/2] is free in that build (with margin >= 1/2 it has
-    already enumerated that band), so the basis one half-weight higher
-    is the same.  reasons lists the failed checks in a fixed order;
-    certified means there are none.
+    degree 1.  Neither generates a relation; reading the star table of
+    the algebra does.  Stabilized means no monomial of weight in
+    (max_weight, max_weight + 1/2] is free in that build (which has
+    classified that band), so the basis one half-weight higher is the
+    same.  reasons lists the failed checks in a fixed order; certified
+    means there are none.
     """
     alg = ZhuAlgebra(ctx, max_weight, margin)
     stable = alg.free_monomials(alg.max_weight + HALF) == alg.basis

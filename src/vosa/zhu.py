@@ -6,10 +6,13 @@ The bilinear products circ and star below are graded by the eigenvalues
 of g*sigma; the span of all circ products is the ideal O_g whose
 quotient A_g(V) = V/O_g is an associative algebra under star.
 
-Dimensions are certified by squeezing: an upper bound from an exact
-echelon quotient of a weight-truncated piece of V, and a lower bound
-from the rank of the zero-mode action on lowest-weight spaces of
-explicit twisted modules.  The two agree in every shipped configuration.
+Dimensions are certified by squeezing: an upper bound from a
+weight-truncated quotient of V, and a lower bound from the rank of the
+zero-mode action on lowest-weight spaces of explicit twisted modules.
+The two agree in every shipped configuration.  Each lead monomial m (a
+structural test on its factors) has one relation R_m in O_g, led by m,
+so the upper bound counts the monomials that are no lead; R_m itself is
+generated only when a reduction reaches m.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .fock import (
     ns_polarized,
     weight,
 )
-from .fields import HALF, residue_terms
+from .fields import HALF, mode_mono, residue_terms
 
 
 class TwistContext:
@@ -122,52 +125,83 @@ def _mono_state(m: Monomial) -> State:
     return {m: Fraction(1)}
 
 
-def o_relations(ctx: TwistContext, w_ambient, w_skip=Fraction(-1)):
-    """One member of O_g per monomial m of weight in (w_skip, w_ambient]
-    that is not a basis candidate, led (under graded_key) by m.
+def _generator_split(ctx: TwistContext, m: Monomial):
+    """(u, v) for the first factor (mu, a) of m with q = mu + delta(a) <=
+    -1/2: u = ((q, a),) is a generator mode and v the rest of m.  None if
+    m has no such factor."""
+    for i, (mu, a) in enumerate(m):
+        q = mu + ctx.delta(((mu, a),))
+        if q <= -HALF:
+            return ((q, a),), m[:i] + m[i + 1:]
+    return None
 
-    A twist-odd m lies in O_g and is its own relation.  Otherwise the
-    first factor (mu, a) of m with mu + delta(a) <= -1/2 gives the
-    generator mode u = ((mu + delta(a), a),) and the relation u circ v,
-    v the rest of m; RuntimeError if m is not its lead or has coefficient
-    0 there.  Monomials with no such factor are the basis candidates.
-    Distinct leads make the relations independent.  Any subset of O_g
-    gives an upper bound that the certification squeeze still has to
-    meet, and reducing modulo its span either returns the true class or
-    raises because the class escapes the truncation.
+
+def _no_lead(m: Monomial) -> RuntimeError:
+    labels = ", ".join(f"({nu}, {b})" for nu, b in m)
+    return RuntimeError(f"the O_g relation for ({labels}) does not lead "
+                        "with it")
+
+
+def _check_lead(ctx: TwistContext, m: Monomial, u: Monomial,
+                v: Monomial) -> None:
+    """The lead of R_m = u circ v without generating it.
+
+    The i = 0 term u_{-delta-1} v of the residue sum is the only one of
+    m's weight (the term i has weight wt m - i), so R_m leads with m
+    exactly when that term is a nonzero multiple of m alone; analytically
+    it is +-C(p + delta, p) m with p = -q - 1/2.  RuntimeError otherwise.
     """
-    for m in ctx.sector.basis(w_ambient):
-        if weight(m) <= w_skip:
-            continue
+    top = mode_mono(ctx.sector, u, -1 - ctx.delta(u), v)
+    if top.keys() != {m}:
+        raise _no_lead(m)
+
+
+def o_relations(ctx: TwistContext, monomials):
+    """The relation R_m of O_g for each lead m among monomials, in order;
+    a free monomial yields nothing.
+
+    A twist-odd m lies in O_g and is its own relation.  Otherwise
+    _generator_split gives the generator mode u and the rest v of m, and
+    R_m = u circ v; RuntimeError unless m is its lead (under graded_key)
+    with a nonzero coefficient.  Distinct leads make the relations
+    independent.  Any subset of O_g gives an upper bound that the
+    certification squeeze still has to meet, and reducing modulo its
+    span either returns the true class or raises because the class
+    escapes the truncation.
+    """
+    for m in monomials:
         if ctx.rstar(m) != 0:
             yield _mono_state(m)
             continue
-        for i, (mu, a) in enumerate(m):
-            q = mu + ctx.delta(((mu, a),))
-            if q <= -HALF:
-                break
-        else:
+        split = _generator_split(ctx, m)
+        if split is None:
             continue
-        rel = ctx.circ(_mono_state(((q, a),)),
-                       _mono_state(m[:i] + m[i + 1:]))
+        rel = ctx.circ(*map(_mono_state, split))
         if not rel.get(m) or max(rel, key=graded_key) != m:
-            labels = ", ".join(f"({nu}, {b})" for nu, b in m)
-            raise RuntimeError(
-                f"the O_g relation for ({labels}) does not lead with it")
+            raise _no_lead(m)
         yield rel
 
 
 class ZhuAlgebra:
-    """Exact model of A_g(V) from a weight-truncated echelon quotient.
+    """Exact model of A_g(V) as a weight-truncated quotient by O_g.
 
-    The relations are those of o_relations up to weight max_weight +
-    margin, one per monomial that is not a basis candidate, and each
-    relation's lead is its pivot.  basis holds the free monomials (those
-    that are no pivot) of weight <= max_weight; tables of structure
-    constants are computed on demand.  dim is an upper bound for the
-    true dimension by construction; high_covered reports whether every
-    monomial in the guard band above max_weight reduces, which is what
-    makes the truncation argument close.
+    A monomial m is a lead when it is twist-odd or has a factor (mu, a)
+    with mu + delta(a) <= -1/2; the others are free.  Every lead has one
+    relation R_m of o_relations, led by m, so the quotient by all of
+    them is spanned by the free monomials and its dimension is a count.
+    The build classifies the monomials up to max_weight + max(margin,
+    1/2) and generates no relation: basis holds the free monomials of
+    weight <= max_weight, dim is an upper bound for the true dimension
+    by construction, and high_covered reports whether every monomial in
+    the guard band above max_weight is a lead, which is what makes the
+    truncation argument close.  The leading coefficient of every counted
+    lead that is not twist-odd is checked on the way (_check_lead).
+
+    reduce generates R_m when a reduction first reaches a lead m and adds
+    it to ech as the pivot of m, so ech.pivots holds exactly the
+    relations generated so far.  The pivots are the leads either way, so
+    the normal forms are those of the echelon of every relation.  Tables
+    of structure constants are computed on demand.
     """
 
     def __init__(self, ctx: TwistContext, max_weight, margin=Fraction(1)):
@@ -176,10 +210,11 @@ class ZhuAlgebra:
         self.margin = Fraction(margin)
         self.ech = Echelon()
         self._covered = Fraction(-1)
-        self._free_to = Fraction(-1)
-        free = self.free_monomials(self.max_weight + self.margin)
-        self.basis = [m for m in free if weight(m) <= self.max_weight]
-        self.high_covered = len(free) == len(self.basis)
+        self._free = []
+        self._extend(self.max_weight + max(self.margin, HALF))
+        self.basis = self.free_monomials(self.max_weight)
+        guarded = self.free_monomials(self.max_weight + self.margin)
+        self.high_covered = guarded == self.basis
         self.dim = len(self.basis)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._table = {}
@@ -187,30 +222,38 @@ class ZhuAlgebra:
         self._left = None
 
     def free_monomials(self, w) -> list:
-        """The monomials of weight <= w that are no pivot, in graded
-        order, growing the relation span to w first.  Every pivot leads
-        its own relation, so the pivots of weight <= w are final once w
-        is covered, and an enumerated window is read as it stands."""
-        if w > self._free_to:
-            self._extend(w)
-            self._free = [m for m in self.ctx.sector.basis(w)
-                          if graded_key(m) not in self.ech.pivots]
-            self._free_to = w
+        """The free monomials of weight <= w, in graded order."""
+        self._extend(w)
         return [m for m in self._free if weight(m) <= w]
 
     def _extend(self, w_amb) -> None:
-        """Grow the relation span to cover monomials of weight <= w_amb."""
+        """Classify the monomials of weight in (_covered, w_amb]: the free
+        ones join _free, and each lead that is not twist-odd has its
+        leading coefficient checked."""
         if w_amb <= self._covered:
             return
-        for rel in o_relations(self.ctx, w_amb, self._covered):
-            self.ech.add({graded_key(m): c for m, c in rel.items()})
+        ctx = self.ctx
+        for m in ctx.sector.basis(w_amb):
+            if weight(m) <= self._covered or ctx.rstar(m) != 0:
+                continue
+            split = _generator_split(ctx, m)
+            if split is None:
+                self._free.append(m)
+            else:
+                _check_lead(ctx, m, *split)
         self._covered = w_amb
 
+    def _relation(self, key) -> dict:
+        """R_m keyed for the echelon, for m = key[1]; {} if m is free."""
+        for rel in o_relations(self.ctx, [key[1]]):
+            return {graded_key(m): c for m, c in rel.items()}
+        return {}
+
     def reduce(self, st: State):
-        """Coordinates of a state's class in the surviving-monomial basis."""
-        if st:
-            self._extend(max(weight(m) for m in st))
-        red = self.ech.reduce({graded_key(m): c for m, c in st.items()})
+        """Coordinates of a state's class in the basis, generating the
+        relations of the leads the reduction reaches."""
+        red = self.ech.reduce({graded_key(m): c for m, c in st.items()},
+                              self._relation)
         out = {}
         for (w, m), c in red.items():
             if m not in self._index:

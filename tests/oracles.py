@@ -4,21 +4,28 @@ Everything here is implemented from first principles, without using the
 package's recursion or echelon machinery, so agreement is meaningful.
 The exceptions are the plain computations that the package's pruned
 ones are checked against: reduction_family, the two-parameter family of
-residue members of O_g whose (0, 0) member is circ;
+residue members of O_g whose (0, 0) member is circ; EagerZhuAlgebra,
+the build that puts every relation of a generator into the echelon
+before it reads the free monomials off the pivots, against which the
+package's leads and relations generated on read are checked;
+o_relations_window, the package's own relations over a weight window;
 generator_circ_relations, every circ product of a generator mode with a
-basis monomial, which the package's one relation per non-basis monomial
-must span the same space as; full_pairs_relations, the relation
-generator over all pairs; generator_first_relations, which adds the
-depth-1 reduction family to the circ products; two_cutoff_stabilized,
-the comparison of from-scratch builds at two consecutive cutoffs that
-the package reads off one build; omega_joint_kernel, the
-lowest-weight space cut out by the generator and the Virasoro modes
-together; and zero_mode_rank_oracle, which reads the package's o_action
-but none of its matrices or echelon.
+basis monomial, which the package's one relation per lead must span the
+same space as; full_pairs_relations, the relation generator over all
+pairs; generator_first_relations, which adds the depth-1 reduction
+family to the circ products; two_cutoff_stabilized, the comparison of
+from-scratch eager builds at two consecutive cutoffs that the package
+reads off one build; omega_joint_kernel, the lowest-weight space cut
+out by the generator and the Virasoro modes together; and
+zero_mode_rank_oracle, which reads the package's o_action but none of
+its matrices or echelon.
 """
 
 from fractions import Fraction
 from math import comb
+
+from vosa.fock import graded_key, weight
+from vosa.zhu import ZhuAlgebra, o_relations
 
 
 def binomial_oracle(alpha: Fraction, s: int) -> Fraction:
@@ -97,7 +104,6 @@ def reduction_family(ctx, u, v, m: int, n: int):
     weight- and twist-homogeneous.  (0, 0) is circ."""
     from vosa.exact import vec_iadd
     from vosa.fields import residue_terms
-    from vosa.fock import weight
 
     if not m >= n >= 0:
         raise ValueError("need m >= n >= 0")
@@ -114,12 +120,9 @@ def reduction_family(ctx, u, v, m: int, n: int):
 def generator_circ_relations(ctx, w_ambient, w_skip=Fraction(-1)):
     """The twist-odd monomials, then u circ v for every generator mode u
     and basis monomial v with top weight in (w_skip, w_ambient]: every
-    generator-first circ product, about half of them dependent.  Same
-    positional signature as vosa.zhu.o_relations, so it can stand in for
-    it in a ZhuAlgebra build.
+    generator-first circ product, about half of them dependent.  A
+    relation generator for EagerZhuAlgebra.
     """
-    from vosa.fock import weight
-
     basis = ctx.sector.basis(w_ambient)
     for mono in basis:
         if mono and ctx.rstar(mono) != 0 and weight(mono) > w_skip:
@@ -137,8 +140,6 @@ def _family_relations(ctx, w_ambient, w_skip, depth, first):
     """The twist-odd monomials, then the (m, n) reduction-family vectors
     for 0 <= n <= m <= depth and every pair (u, v) of basis monomials with
     first(u), in the order of generator_circ_relations."""
-    from vosa.fock import weight
-
     basis = ctx.sector.basis(w_ambient)
     for mono in basis:
         if mono and ctx.rstar(mono) != 0 and weight(mono) > w_skip:
@@ -160,10 +161,8 @@ def _family_relations(ctx, w_ambient, w_skip, depth, first):
 def full_pairs_relations(ctx, w_ambient, w_skip=Fraction(-1), *, depth=1):
     """The unpruned relation generator: reduction-family vectors up to
     the given depth for every pair (u, v) of basis monomials, not only
-    generator-first circ products.
-
-    Same positional signature as vosa.zhu.o_relations, so it can stand
-    in for it in a ZhuAlgebra build.
+    generator-first circ products.  A relation generator for
+    EagerZhuAlgebra.
     """
     return _family_relations(ctx, w_ambient, w_skip, depth, bool)
 
@@ -172,21 +171,63 @@ def generator_first_relations(ctx, w_ambient, w_skip=Fraction(-1), *,
                               depth=1):
     """Generator-first reduction-family vectors up to the given depth:
     u runs over the generator modes only, as in generator_circ_relations,
-    which keeps only the circ products (depth 0).  Same positional
-    signature as vosa.zhu.o_relations.
+    which keeps only the circ products (depth 0).  A relation generator
+    for EagerZhuAlgebra.
     """
     return _family_relations(ctx, w_ambient, w_skip, depth,
                              lambda u: len(u) == 1)
 
 
-def two_cutoff_stabilized(ctx, max_weight, margin=Fraction(1)):
-    """Build the algebra from scratch at max_weight and at max_weight +
-    1/2, with the same margin, and compare the bases: (low, high,
-    whether they agree)."""
-    from vosa.zhu import ZhuAlgebra
+def o_relations_window(ctx, w_ambient, w_skip=Fraction(-1)):
+    """vosa.zhu.o_relations over every monomial of weight in (w_skip,
+    w_ambient]: one relation per lead, all at once."""
+    return o_relations(ctx, [m for m in ctx.sector.basis(w_ambient)
+                             if weight(m) > w_skip])
 
-    low = ZhuAlgebra(ctx, max_weight, margin)
-    high = ZhuAlgebra(ctx, low.max_weight + Fraction(1, 2), margin)
+
+class EagerZhuAlgebra(ZhuAlgebra):
+    """The quotient by every relation of a generator, eagerly.
+
+    relations(ctx, w_ambient, w_skip) yields members of O_g whose top
+    weight lies in (w_skip, w_ambient]: o_relations_window,
+    generator_circ_relations, full_pairs_relations or
+    generator_first_relations.  Growing the window puts all of them into
+    the echelon, and the free monomials are those that are no pivot, as
+    the echelon leaves them.  reduce grows the window to the weight of
+    its state first and never generates a relation on read.
+    """
+
+    def __init__(self, ctx, max_weight, margin=Fraction(1),
+                 relations=o_relations_window):
+        self.relations = relations
+        super().__init__(ctx, max_weight, margin)
+
+    def _extend(self, w_amb) -> None:
+        if w_amb <= self._covered:
+            return
+        for rel in self.relations(self.ctx, w_amb, self._covered):
+            self.ech.add({graded_key(m): c for m, c in rel.items()})
+        self._free = [m for m in self.ctx.sector.basis(w_amb)
+                      if graded_key(m) not in self.ech.pivots]
+        self._covered = w_amb
+
+    def _relation(self, key) -> dict:
+        return {}
+
+    def reduce(self, st):
+        if st:
+            self._extend(max(weight(m) for m in st))
+        return super().reduce(st)
+
+
+def two_cutoff_stabilized(ctx, max_weight, margin=Fraction(1),
+                          relations=o_relations_window):
+    """Build the eager algebra from scratch at max_weight and at
+    max_weight + 1/2, with the same margin, and compare the bases: (low,
+    high, whether they agree)."""
+    low = EagerZhuAlgebra(ctx, max_weight, margin, relations)
+    high = EagerZhuAlgebra(ctx, low.max_weight + Fraction(1, 2), margin,
+                           relations)
     return low, high, low.basis == high.basis
 
 

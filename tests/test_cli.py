@@ -336,6 +336,28 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path, capsys, damage):
     assert _zhu_stdout(capsys, *args) == cold
 
 
+@pytest.mark.parametrize("field,value,argv", [
+    ("dim", "many", ["--l", "2"]),
+    # an uncertified run exits 2: a truthy string must not turn that to 0
+    ("certified", "no", ["--l", "3", "--max-weight", "1", "--certify"]),
+    ("blocks", "x", ["--l", "2"]),
+], ids=["dim", "certified", "blocks"])
+def test_mistyped_cache_entry_is_a_miss(tmp_path, capsys, field, value,
+                                        argv):
+    cache = tmp_path / "cache"
+    args = [*argv, "--cache-dir", str(cache)]
+    cold = _zhu_stdout(capsys, *args)
+    (entry,) = cache.glob("*.json")
+    written = entry.read_bytes()
+    data = json.loads(written)
+    data[field] = value
+    entry.write_text(json.dumps(data, sort_keys=True))
+    assert _zhu_stdout(capsys, *args) == cold
+    # the entry was recomputed and rewritten as the cold run wrote it
+    assert entry.read_bytes() == written
+    assert _zhu_stdout(capsys, *args) == cold
+
+
 @pytest.mark.parametrize("certify", [False, True],
                          ids=["plain", "certify"])
 def test_warm_run_is_a_cache_hit(tmp_path, capsys, monkeypatch, certify):

@@ -1,38 +1,84 @@
-"""One O_g relation per non-basis monomial and the one-build
-stabilization check.
+"""Leads counted at build, relations generated on read, and the
+one-build stabilization check.
 
-The package generates O_g from one relation per monomial that is not a
-basis candidate, each led by its monomial, and certifies from a single
-build: the basis is stable when no monomial of the next half-weight band
-is free there.  Both are checked here against the plain computations:
-every generator-first circ product, the full-pairs relation generator,
-the depth-1 reduction family with a generator first, and from-scratch
-builds at two consecutive cutoffs.
+Every monomial of the window is a lead or free; each lead m has one O_g
+relation R_m, led by m.  The package counts the leads to get its basis,
+checks each counted lead's leading coefficient without generating R_m,
+and generates R_m only when a reduction reaches m.  Everything is checked
+here against eager builds that put every relation of a generator into
+the echelon first: the package's own relations, every generator-first
+circ product, the full-pairs relation generator and the depth-1
+reduction family with a generator first, and from-scratch eager builds
+at two consecutive cutoffs.
 """
 
 from fractions import Fraction
+from functools import partial
+from math import comb
 
 import pytest
 
-from oracles import (full_pairs_relations, generator_circ_relations,
-                     generator_first_relations, two_cutoff_stabilized)
+from oracles import (EagerZhuAlgebra, full_pairs_relations,
+                     generator_circ_relations, generator_first_relations,
+                     o_relations_window, two_cutoff_stabilized)
 from vosa import modules, zhu
 from vosa.cli import EXIT_ERROR, main
-from vosa.fock import graded_key, ns_polarized
+from vosa.fields import mode
+from vosa.fock import graded_key, ns_polarized, weight
 from vosa.modules import certified_zhu
 from vosa.zhu import (TwistContext, ZhuAlgebra, ctx_identity, ctx_sigma,
-                      ctx_tau)
+                      ctx_tau, o_relations)
 
 H = Fraction(1, 2)
 
 
-def _snapshot(ctx, w, margin):
-    """Pivot keys and basis after the build, then the full star table."""
-    alg = ZhuAlgebra(ctx, w, margin)
-    pivots = set(alg.ech.pivots)
-    table = {(i, j): alg.star_coords(i, j)
-             for i in range(alg.dim) for j in range(alg.dim)}
-    return pivots, alg.basis, table
+def _star_table(alg):
+    """Every product's coordinates, or the message of its escape."""
+    table = {}
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            try:
+                table[i, j] = alg.star_coords(i, j)
+            except ValueError as exc:
+                table[i, j] = str(exc)
+    return table
+
+
+def _certification(ctx, w, margin):
+    """The algebra of one certified_zhu run and what it reports: basis,
+    dim, high_covered, the full star table and the report (stabilized
+    included)."""
+    rep = certified_zhu(ctx, w, margin)
+    alg = rep["algebra"]
+    report = {k: v for k, v in rep.items() if k not in ("algebra", "omega")}
+    return alg, {"basis": alg.basis, "dim": alg.dim,
+                 "high_covered": alg.high_covered,
+                 "table": _star_table(alg), "report": report}
+
+
+def _window_leads(alg):
+    """Graded keys of the monomials the build classified as leads."""
+    top = alg.max_weight + max(alg.margin, H)
+    window = {graded_key(m) for m in alg.ctx.sector.basis(top)}
+    return window - {graded_key(m) for m in alg.free_monomials(top)}
+
+
+def _lazy_matches_eager(ctx, w, margin, relations, monkeypatch):
+    """Certify lazily and with EagerZhuAlgebra over relations, and compare
+    everything they report; returns the lazy algebra and its report."""
+    lazy, got = _certification(ctx, w, margin)
+    with monkeypatch.context() as mp:
+        mp.setattr(modules, "ZhuAlgebra",
+                   partial(EagerZhuAlgebra, relations=relations))
+        eager, want = _certification(ctx, w, margin)
+    assert got == want
+    # the counted leads are the eager pivots over the classified window,
+    # and every relation generated on read is led by an eager pivot
+    top = w + max(margin, H)
+    assert _window_leads(lazy) == {k for k in eager.ech.pivots
+                                   if k[0] <= top}
+    assert set(lazy.ech.pivots) <= set(eager.ech.pivots)
+    return lazy, got["report"]
 
 
 CUTOFF_2 = (Fraction(2), Fraction(1))
@@ -50,34 +96,7 @@ CUTOFF_2 = (Fraction(2), Fraction(1))
     ids=["sigma1", "sigma2", "sigma3", "id1", "id2", "tau",
          "sigma2-wide", "sigma3-wide"])
 def test_generator_first_matches_full_pairs(ctx, cut, monkeypatch):
-    pruned = _snapshot(ctx, *cut)
-    monkeypatch.setattr(zhu, "o_relations", full_pairs_relations)
-    full = _snapshot(ctx, *cut)
-    assert pruned[0] == full[0]
-    assert pruned[1] == full[1]
-    assert pruned[2] == full[2]
-
-
-def _star_table(alg):
-    """Every product's coordinates, or the message of its escape."""
-    table = {}
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            try:
-                table[i, j] = alg.star_coords(i, j)
-            except ValueError as exc:
-                table[i, j] = str(exc)
-    return table
-
-
-def _certification(ctx, w, margin):
-    """Pivot keys after the stability check, basis, full star table and
-    report of one certified_zhu run."""
-    rep = certified_zhu(ctx, w, margin)
-    alg = rep["algebra"]
-    pivots = set(alg.ech.pivots)
-    report = {k: v for k, v in rep.items() if k not in ("algebra", "omega")}
-    return pivots, alg.basis, _star_table(alg), report
+    _lazy_matches_eager(ctx, *cut, full_pairs_relations, monkeypatch)
 
 
 LADDER = (
@@ -98,12 +117,18 @@ ROTATIONS = [
         ("rot6", (Fraction(1, 6), Fraction(5, 6))),
         ("rot4", (Fraction(1, 4), 0, Fraction(3, 4), 0))]]
 
+SIGMA3_LOW = pytest.param(ctx_sigma(3), Fraction(1), Fraction(1),
+                          id="sigma3-low")
+# margin 1/4 is the case where the build classifies the next half-weight
+# band beyond its guard band, for the stability flag
+MARGINS = [pytest.param(ctx, Fraction(2), margin, id=f"{name}-margin-{size}")
+           for name, ctx in [("sigma2", ctx_sigma(2)), ("tau", ctx_tau())]
+           for size, margin in [("quarter", H / 2), ("half", H)]]
+
 
 @pytest.mark.parametrize("ctx,w,margin", LADDER + ROTATIONS)
 def test_one_relation_per_monomial_matches_generator_circ(ctx, w, margin,
                                                           monkeypatch):
-    one_each = _certification(ctx, w, margin)
-    o_relations = zhu.o_relations
     count = 0
 
     def counted(*args):
@@ -112,15 +137,13 @@ def test_one_relation_per_monomial_matches_generator_circ(ctx, w, margin,
             count += 1
             yield rel
 
-    with monkeypatch.context() as mp:
-        mp.setattr(zhu, "o_relations", counted)
-        alg = ZhuAlgebra(ctx, w, margin)
-    # every relation's lead is new, so none is eliminated
-    assert count == alg.ech.rank
-    monkeypatch.setattr(zhu, "o_relations", generator_circ_relations)
-    every = _certification(ctx, w, margin)
-    for got, want in zip(one_each, every):
-        assert got == want
+    monkeypatch.setattr(zhu, "o_relations", counted)
+    assert ZhuAlgebra(ctx, w, margin).ech.rank == count == 0
+    lazy, _ = _lazy_matches_eager(ctx, w, margin, generator_circ_relations,
+                                  monkeypatch)
+    # every relation generated on read has a new lead, so none is
+    # eliminated
+    assert count == lazy.ech.rank
 
 
 def test_relation_without_its_lead_is_an_error(monkeypatch, capsys):
@@ -135,45 +158,89 @@ def test_relation_without_its_lead_is_an_error(monkeypatch, capsys):
 
     monkeypatch.setattr(TwistContext, "circ", lead_dropped)
     monkeypatch.delenv("VOSA_CACHE_DIR", raising=False)
-    with pytest.raises(RuntimeError):
+    # the build generates no relation; the first read that does raises
+    alg = ZhuAlgebra(ctx_sigma(2), 2)
+    with pytest.raises(RuntimeError, match="the O_g relation"):
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                alg.star_coords(i, j)
+    assert main(["zhu", "--l", "2"]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: the O_g relation")
+
+
+def test_broken_lead_term_is_an_error_at_build(monkeypatch, capsys):
+    mode_mono = zhu.mode_mono
+
+    def lead_dropped(space, u, n, w):
+        # the i = 0 term of the residue sum, without its leading monomial
+        top = dict(mode_mono(space, u, n, w))
+        if top:
+            del top[max(top, key=graded_key)]
+        return top
+
+    monkeypatch.setattr(zhu, "mode_mono", lead_dropped)
+    monkeypatch.delenv("VOSA_CACHE_DIR", raising=False)
+    with pytest.raises(RuntimeError, match="the O_g relation"):
         ZhuAlgebra(ctx_sigma(2), 2)
     assert main(["zhu", "--l", "2"]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error: the O_g relation")
 
 
-@pytest.mark.parametrize("ctx,w,margin", LADDER + [
-    pytest.param(ctx_sigma(3), Fraction(1), Fraction(1), id="sigma3-low")])
+@pytest.mark.parametrize("ctx,w,margin",
+                         LADDER + ROTATIONS + [SIGMA3_LOW] + MARGINS)
+def test_lead_coefficient_is_a_binomial(ctx, w, margin):
+    # for a lead m that is not twist-odd, with (mu, a) its first factor
+    # with q = mu + delta(a) <= -1/2: the i = 0 term of u circ v, u the
+    # generator mode ((q, a),) and v the rest of m, is +-C(p + delta, p) m
+    # with p = -q - 1/2, and it is all of R_m at the weight of m
+    alg = ZhuAlgebra(ctx, w, margin)
+    leads = {k[1] for k in _window_leads(alg)}
+    checked = 0
+    for m in ctx.sector.basis(w + max(margin, H)):
+        split = [(i, mu + ctx.delta(((mu, a),)), a)
+                 for i, (mu, a) in enumerate(m)
+                 if mu + ctx.delta(((mu, a),)) <= -H]
+        assert (ctx.rstar(m) != 0 or bool(split)) == (m in leads)
+        if ctx.rstar(m) != 0 or not split:
+            continue
+        i, q, a = split[0]
+        d = ctx.delta(((q, a),))
+        p = int(-q - H)
+        top = mode(ctx.sector, {((q, a),): 1}, -1 - d,
+                   {m[:i] + m[i + 1:]: 1})
+        assert top.keys() == {m}
+        assert abs(top[m]) == comb(p + d, p)
+        (rel,) = o_relations(ctx, [m])
+        assert {x: c for x, c in rel.items() if weight(x) == weight(m)} == top
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("ctx,w,margin", LADDER + [SIGMA3_LOW])
 def test_circ_only_matches_depth_one_family(ctx, w, margin, monkeypatch):
     # the (1, 0) and (1, 1) reduction-family members add nothing to the
     # span of the circ products
-    circ_only = _certification(ctx, w, margin)
-    monkeypatch.setattr(zhu, "o_relations", generator_first_relations)
-    family = _certification(ctx, w, margin)
-    for got, want in zip(circ_only, family):
-        assert got == want
+    _lazy_matches_eager(ctx, w, margin, generator_first_relations,
+                        monkeypatch)
 
 
-@pytest.mark.parametrize("ctx,w,margin", LADDER + ROTATIONS + [
-    pytest.param(ctx_sigma(3), Fraction(1), Fraction(1), id="sigma3-low")]
-    + [pytest.param(ctx, Fraction(2), margin, id=f"{name}-margin-{size}")
-       for name, ctx in [("sigma2", ctx_sigma(2)), ("tau", ctx_tau())]
-       for size, margin in [("quarter", H / 2), ("half", H)]])
-def test_one_build_stability_matches_two_cutoffs(ctx, w, margin):
-    # margin 1/4 is the case where the single build has to extend its
-    # relation span to w + 1/2 before it reads the flag
-    rep = certified_zhu(ctx, w, margin)
-    alg = rep["algebra"]
+@pytest.mark.parametrize("ctx,w,margin",
+                         LADDER + ROTATIONS + [SIGMA3_LOW] + MARGINS)
+def test_one_build_stability_matches_two_cutoffs(ctx, w, margin,
+                                                 monkeypatch):
+    lazy, rep = _lazy_matches_eager(ctx, w, margin, o_relations_window,
+                                    monkeypatch)
     low, high, stable = two_cutoff_stabilized(ctx, w, margin)
     assert rep["stabilized"] == stable
     assert rep["high_covered"] == low.high_covered
     assert rep["dim_upper"] == low.dim
-    assert alg.basis == low.basis
-    # the single build's pivots are the from-scratch ones over the window
-    # it covers: the guard band, or the next half-weight band if wider
+    assert lazy.basis == low.basis
+    # the leads the single build counts are the from-scratch pivots over
+    # its window: the guard band, or the next half-weight band if wider
     top = w + max(margin, H)
-    assert set(alg.ech.pivots) == {k for k in high.ech.pivots if k[0] <= top}
-    assert {k for k in alg.ech.pivots if k[0] <= w + margin} == set(
-        low.ech.pivots)
+    leads = _window_leads(lazy)
+    assert leads == set(low.ech.pivots)
+    assert leads == {k for k in high.ech.pivots if k[0] <= top}
 
 
 def test_low_cutoff_stays_uncertified():
