@@ -381,8 +381,7 @@ def cmd_omega(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    from .modules import (certified_zhu, induce_truncated, omega_umats,
-                          regular_umats)
+    from .modules import certified_zhu, induce_truncated, omega_umats
 
     ctx = _context(args)
     rep = certified_zhu(ctx, args.max_weight, args.margin)
@@ -402,7 +401,7 @@ def cmd_induce(args) -> int:
         # seeds no induction
         alg = rep["algebra"]
         if args.seed == "regular":
-            umats, udim = regular_umats(alg)
+            umats, udim = alg.left_multiplications(), alg.dim
         else:
             umats, udim = omega_umats(alg, rep["omega"])
         res = induce_truncated(alg, umats, udim, args.depth)

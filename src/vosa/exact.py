@@ -133,9 +133,6 @@ class Echelon:
                     out.pop(j, None)
         return done
 
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
 
 def nullspace(images: list[dict]) -> list[dict]:
     """Kernel of the linear map sending domain basis vector j to images[j].

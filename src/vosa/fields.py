@@ -167,8 +167,9 @@ def residue_terms(alg, u: State, alpha, k: int, v: State):
     Every mode u_j with j > wt u + wt v - 1 annihilates v, so i runs
     while i - k stays at or below that bound; the top weight of v is
     used, so v may be inhomogeneous.  The Zhu products star and circ,
-    the Lie bracket of mode symbols, the commutator formula and the
-    associativity check all expand through this one sum.
+    the Lie bracket of mode symbols and the commutator formula all
+    expand through this one sum, and so does the associativity check
+    in tests/oracles.py.
     """
     if not u or not v:
         return
@@ -188,7 +189,8 @@ def commutator_defect(alg, action, u: State, m, v: State, n,
     """[u_m, v_n]+- w - sum_i C(m, i) (u_i v)_{m+n-i} w.
 
     action(x, k, y) applies the mode x_k to y: the mode on a space for
-    verify_commutator, the dual mode on a contragredient for its check.
+    verify_commutator; tests/oracles.py passes the dual mode of its
+    Contragredient to check the dual module.
     The products u_i v are taken in alg.  Zero exactly when the twisted
     commutator formula holds on w.
     """
@@ -221,65 +223,6 @@ def verify_commutator(space, u: State, v: State, samples) -> dict:
                     "failure": {"m": str(m), "n": str(n)}}
         checked += 1
     return {"ok": True, "checked": checked}
-
-
-def min_assoc_exponent(space, a: State, w: State) -> Fraction:
-    """Smallest kappa with z^kappa a(z) w free of negative powers of z."""
-    wa = state_weight(a)
-    deg = max(space.degree(m) for m in w)
-    n = wa + deg - 1
-    while n > -10:
-        if mode(space, a, n, w, check_index=False):
-            return n + 1
-        n -= HALF
-    return Fraction(0)
-
-
-def verify_associativity(space, a: State, u: State, w: State, kappa,
-                         a_max: int = 3, b_max=3) -> dict:
-    """Compare the two expansions of z^kappa a(x) acting through u on w.
-
-    Coefficients of z0^A z2^B are matched exactly for |A| <= a_max and
-    |B| <= b_max: composing modes of a and u on one side, modes of the
-    products a_i u on the other.  kappa must make z^kappa a(z) w regular.
-    """
-    kappa = Fraction(kappa)
-    alg = space.algebra
-    wu = state_weight(u)
-    deg = max(space.degree(m) for m in w)
-    if kappa < min_assoc_exponent(space, a, w):
-        raise ValueError("kappa too small for a regular product")
-    checked = nonzero = 0
-    b_vals = []
-    b = Fraction(-b_max)
-    while b <= b_max:
-        b_vals.append(b)
-        b += HALF
-    for A in range(-a_max, a_max + 1):
-        for B in b_vals:
-            lhs: State = {}
-            j = 0
-            while j <= wu + deg + B:
-                c0 = gen_binomial(A + j, j)
-                if c0:
-                    uw = mode(space, u, j - B - 1, w, check_index=False)
-                    if uw:
-                        vec_iadd(lhs,
-                                 mode(space, a, kappa - 1 - A - j, uw,
-                                      check_index=False), c0)
-                j += 1
-            rhs: State = {}
-            for i, c0, prod in residue_terms(alg, a, kappa, A + 1, u):
-                vec_iadd(rhs, mode(space, prod, kappa - B - 1 - i, w,
-                                   check_index=False), c0)
-            vec_iadd(lhs, rhs, Fraction(-1))
-            if lhs:
-                return {"ok": False, "checked": checked,
-                        "failure": {"A": str(A), "B": str(B)}}
-            checked += 1
-            if rhs:
-                nonzero += 1
-    return {"ok": True, "checked": checked, "nonzero": nonzero}
 
 
 def verify_translation(space, omega: State, v: State, samples) -> dict:

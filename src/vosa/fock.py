@@ -210,12 +210,6 @@ class Sector:
             sign = -sign
         return out
 
-    def apply_gen_state(self, gid: int, mode: Fraction, st: State) -> State:
-        out: State = {}
-        for mono, c in st.items():
-            vec_iadd(out, self.apply_gen(gid, mode, mono), c)
-        return out
-
     def basis(self, max_weight) -> list[Monomial]:
         """All monomials of weight <= max_weight in graded-lex order."""
         max_weight = Fraction(max_weight)
@@ -259,14 +253,6 @@ class Sector:
             "support": [str(self.support[g]) for g in self.gids],
             "zero_mode": [self.zero_mode[g] for g in self.gids],
         }
-
-
-def ns_orthonormal(l: int) -> Sector:
-    """The algebra's own Fock space on an orthonormal generator basis."""
-    labels = [f"a{i+1}" for i in range(l)]
-    pairing = {(i, i): Fraction(1) for i in range(l)}
-    support = {i: Fraction(1, 2) for i in range(l)}
-    return Sector(labels, pairing, support)
 
 
 def ns_polarized(l: int) -> Sector:

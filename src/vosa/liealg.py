@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .exact import vec_iadd
 from .fock import State, state_weight
-from .fields import (Virasoro, in_coset, mode, o_action, residue_terms,
-                     state_parity)
+from .fields import mode, residue_terms, state_parity
 
 # a symbol combination is a dict {(index, mono): Fraction}; each key is
 # one basis mode symbol (monomial, index), grouped sparsely
@@ -27,19 +26,6 @@ def symbol(st: State, index) -> dict:
     if state_weight(st) is None:
         raise ValueError("mode symbols need weight-homogeneous states")
     return {(index, m): c for m, c in st.items() if c}
-
-
-def symbol_degree(sym: dict):
-    """Common degree wt - index - 1 of a combination, or None if mixed."""
-    from .fock import weight
-
-    ds = {weight(m) - q - 1 for q, m in sym}
-    return ds.pop() if len(ds) == 1 else None
-
-
-def check_coset(sector, sym: dict) -> bool:
-    """Every index sits in the twist coset of its monomial."""
-    return all(in_coset(sector, {m: 1}, q) for q, m in sym)
 
 
 def bracket(sector, x: dict, y: dict) -> dict:
@@ -101,31 +87,6 @@ def verify_jacobi(sector, space, x: dict, y: dict, z: dict,
             return {"ok": False, "checked": checked}
         checked += 1
     return {"ok": True, "checked": checked}
-
-
-def verify_degree_additive(sector, x: dict, y: dict) -> bool:
-    """bracket respects the grading: deg [x, y] = deg x + deg y."""
-    dx, dy = symbol_degree(x), symbol_degree(y)
-    br = bracket(sector, x, y)
-    if not br:
-        return True
-    return symbol_degree(br) == dx + dy
-
-
-def verify_o_kernel(space, a: State, targets) -> dict:
-    """o((L(-1) + L(0)) a) acts by zero on every twisted module; o_action
-    is linear, so the inhomogeneous state acts whole."""
-    alg = space.algebra
-    omega = Virasoro(alg).omega
-    st: State = {}
-    vec_iadd(st, mode(alg, omega, 0, a))          # L(-1) a
-    vec_iadd(st, mode(alg, omega, 1, a))          # L(0) a
-    if not st:
-        return {"ok": True, "checked": 0}
-    for checked, w in enumerate(targets):
-        if o_action(space, st, w):
-            return {"ok": False, "checked": checked}
-    return {"ok": True, "checked": len(targets)}
 
 
 def verify_hom_to_zhu(alg) -> dict:

@@ -2,9 +2,8 @@
 
 Builds the Fock-type twisted modules attached to a twist context, the
 lowest-weight subspace Omega(M), the zero-mode representation of the Zhu
-algebra on Omega(M), parity submodules cut out by a split zero mode,
-contragredient duals at matrix level, and a truncated Verma-type
-induction from a Zhu-algebra module back to a twisted module.
+algebra on Omega(M), and a truncated Verma-type induction from a
+Zhu-algebra module back to a twisted module.
 
 Omega(M) is an A_g(V)-module by the zero modes (fields.o_action).  Its
 matrices come from omega_umats alone: zhu_rank (the certification lower
@@ -31,13 +30,10 @@ from .fock import (
     ZERO_ANNIHILATE,
     ZERO_CREATE,
     ZERO_SPLIT,
-    normalize,
     parity,
-    state_weight,
     weight,
 )
-from .fields import (HALF, Virasoro, commutator_defect, mode, o_action,
-                     state_parity)
+from .fields import HALF, Virasoro, o_action
 from .zhu import TwistContext, ZhuAlgebra, _mono_state
 
 
@@ -223,169 +219,6 @@ def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1)) -> dict:
     }
 
 
-class ParitySubmodule:
-    """One of the two halves cut out by a split zero mode e(0).
-
-    The basis consists of (1 + s e(0)) y for even-length y and
-    (1 - s e(0)) y for odd-length y, with y running over the monomials
-    free of the zero-mode symbol; s is +1 or -1.  Invariance under all
-    modes is checked computationally, never assumed.
-    """
-
-    def __init__(self, space: Sector, egid: int, sign: int, max_degree):
-        if space.zero_mode.get(egid) != ZERO_SPLIT:
-            raise ValueError("submodule requires a split zero mode")
-        self.space = space
-        self.egid = egid
-        self.sign = sign
-        self.max_degree = Fraction(max_degree)
-        self.basis: list[State] = []
-        for m in space.basis(self.max_degree):
-            if (Fraction(0), egid) in m:
-                continue
-            s = sign if parity(m) == 0 else -sign
-            vec = {m: Fraction(1)}
-            em, es = normalize(((Fraction(0), egid),) + m)
-            if es:
-                vec[em] = Fraction(s * es)
-            self.basis.append(vec)
-
-    def graded_dims(self) -> dict:
-        dims: dict = {}
-        for v in self.basis:
-            w = state_weight(v)
-            dims[w] = dims.get(w, 0) + 1
-        return dims
-
-    def contains(self, st: State) -> bool:
-        deg = {weight(m) for m in st}
-        cand = [v for v in self.basis if state_weight(v) in deg]
-        return span_coordinates(cand, [st])[0] is not None
-
-    def check_invariance(self) -> bool:
-        """Every generator mode keeps the subspace inside itself, tested
-        on the basis vectors of weight <= 1."""
-        for v in self.basis:
-            if state_weight(v) > 1:
-                continue
-            for g in self.space.gids:
-                qs = list(self.space.left_modes(g, -1)) + \
-                    lowering_mode_labels(self.space, g, state_weight(v))
-                for q in qs:
-                    img = self.space.apply_gen_state(g, q, v)
-                    if not img:
-                        continue
-                    if state_weight(img) > self.max_degree:
-                        continue
-                    if not self.contains(img):
-                        return False
-        return True
-
-    def omega_basis(self, max_degree) -> list[State]:
-        """Lowest-weight vectors of the submodule."""
-        om = OmegaSpace(self.space, max_degree)
-        out = []
-        for v in om.basis:
-            # project the ambient kernel onto this half; the parity rule
-            # makes the projector sign length-dependent
-            proj: State = {}
-            for m, c in v.items():
-                s = self.sign if parity(m) == 0 else -self.sign
-                vec_iadd(proj, {m: c * HALF})
-                em = self.space.apply_gen(self.egid, Fraction(0), m)
-                vec_iadd(proj, em, c * s * HALF)
-            if proj and self.contains(proj):
-                out.append(proj)
-        ech = Echelon()
-        return [v for v in out if ech.add(v)]
-
-
-class Contragredient:
-    """Matrix-level dual module with phase-normalized mode action.
-
-    For states of half-integer weight the defining involution produces
-    a unit-modulus phase; it is stripped, leaving rational matrices R
-    that satisfy the clean twisted commutator identity [R_u, R_v]_pm =
-    sum_i binom(m, i) R_{u_i v}(m + n - i): the stripped phases square
-    to the Koszul sign the odd-odd case needs.  Dual vectors are stored
-    as coefficient dicts against the primal monomial basis.
-    """
-
-    def __init__(self, space, max_degree):
-        self.space = space
-        self.max_degree = Fraction(max_degree)
-        self.vir = Virasoro(space.algebra)
-        self.by_degree = space.basis_by_degree(self.max_degree)
-
-    def graded_dims(self) -> dict:
-        return {d: len(ms) for d, ms in self.by_degree.items()}
-
-    def _phase_free_sign(self, h: Fraction, par: int) -> Fraction:
-        # (-1)^h = i^{par} * (-1)^{(2h - par)/2}
-        e = (2 * h - par) / 2
-        if e.denominator != 1:
-            raise ValueError("weight/parity mismatch")
-        return Fraction((-1) ** (int(e) % 2))
-
-    def rmode(self, a: State, n, f: dict) -> dict:
-        """Phase-normalized action of the dual mode a'_n on a dual vector."""
-        n = Fraction(n)
-        h = state_weight(a)
-        par = state_parity(a)
-        sign = self._phase_free_sign(h, par)
-        # build the finite list of L(1)-descendants of a
-        terms = []
-        cur = dict(a)
-        j = 0
-        fact = Fraction(1)
-        while cur:
-            terms.append((j, {m: c / fact for m, c in cur.items()}))
-            cur = mode(self.space.algebra, self.vir.omega, 2, cur)
-            j += 1
-            fact *= j
-        deg_f = {weight(m) for m in f}
-        out: dict = {}
-        for d in deg_f:
-            dm = d + h - n - 1
-            if dm > self.max_degree:
-                raise ValueError("dual mode leaves the truncated range")
-            for m in self.by_degree.get(dm, []):
-                val = Fraction(0)
-                for j, aj in terms:
-                    img = mode(self.space, aj, 2 * h - n - j - 2,
-                               {m: Fraction(1)}, check_index=False)
-                    for m2, c in img.items():
-                        if m2 in f:
-                            val += sign * c * f[m2]
-                if val:
-                    out[m] = out.get(m, Fraction(0)) + val
-        return {m: c for m, c in out.items() if c}
-
-    def dual_vacuum(self) -> dict:
-        return {(): Fraction(1)}
-
-    def verify_commutator(self, u: State, v: State, samples) -> dict:
-        """The twisted commutator identity transported to the dual side:
-        fields.commutator_defect with rmode as the action."""
-        # a mixed-parity state is an error, not a skipped sample
-        state_parity(u), state_parity(v)
-        checked = skipped = 0
-        for m, n, f in samples:
-            m, n = Fraction(m), Fraction(n)
-            try:
-                lhs = commutator_defect(self.space.algebra, self.rmode,
-                                        u, m, v, n, f)
-            except ValueError:
-                # an intermediate dual degree left the truncated range
-                skipped += 1
-                continue
-            if lhs:
-                return {"ok": False, "checked": checked,
-                        "failure": {"m": str(m), "n": str(n)}}
-            checked += 1
-        return {"ok": True, "checked": checked, "skipped": skipped}
-
-
 class InducedSpace(Sector):
     """Truncated Verma-type module over a certified Zhu algebra module.
 
@@ -393,7 +226,7 @@ class InducedSpace(Sector):
     strictly-raising generator symbols applied to the j-th basis vector
     of U.  umats[i][y] is the sparse column of coordinates of basis[i]
     of the Zhu algebra acting on the y-th basis vector of U, as
-    regular_umats and omega_umats return it.  Zero modes anticommute
+    ZhuAlgebra.left_multiplications and omega_umats return it.  Zero modes anticommute
     through the symbols and act on U by these matrices (column j for the
     j-th vector); lowering modes contract against symbols by
     the Clifford pairing and annihilate U.  The mode recursion then
@@ -436,16 +269,6 @@ class InducedSpace(Sector):
     def basis(self, max_degree) -> list:
         return [(m, j) for m in super().basis(max_degree)
                 for j in range(self.udim)]
-
-
-def regular_umats(alg: ZhuAlgebra) -> tuple:
-    """The algebra acting on itself by left multiplication.
-
-    mats[i][y] is the sparse column of coordinates of basis[i] * basis[y],
-    read from the derived left_multiplications; the plain star_coords
-    table is the reference the tests check it against.
-    """
-    return alg.left_multiplications(), alg.dim
 
 
 def omega_umats(alg: ZhuAlgebra, om: OmegaSpace) -> tuple:

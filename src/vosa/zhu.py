@@ -65,6 +65,7 @@ class TwistContext:
     def delta(self, mono: Monomial) -> int:
         return 1 if self.rstar(mono) == 0 else 0
 
+    # perfbench/workloads.py reads the module supports through this
     def module_support(self, gid: int) -> Fraction:
         """Fractional part of the twisted-module mode labels of a generator."""
         return self.support[gid]
@@ -325,6 +326,10 @@ class ZhuAlgebra:
 
     def left_multiplications(self) -> list:
         """Left multiplication by every basis class, as sparse columns.
+
+        mats[i][y] is the sparse column of coordinates of basis[i] *
+        basis[y]: the algebra acting on itself, the regular seed of an
+        induction.
 
         A breadth-first search over words in the weight-1/2 generator
         classes, starting from the unit, keeps each word whose coordinates

@@ -19,12 +19,22 @@ reads off one build; omega_joint_kernel, the lowest-weight space cut
 out by the generator and the Virasoro modes together; and
 zero_mode_rank_oracle, which reads the package's o_action but none of
 its matrices or echelon.
+
+The checks at the end, which no command calls, also run on the
+package's own mode recursion: ns_orthonormal, min_assoc_exponent,
+verify_associativity, verify_o_kernel, ParitySubmodule and
+Contragredient test the engine against the vertex-algebra axioms.
 """
 
 from fractions import Fraction
-from math import comb
 
-from vosa.fock import graded_key, weight
+from vosa.exact import (Echelon, gen_binomial, nullspace, span_coordinates,
+                        vec_iadd)
+from vosa.fields import (HALF, Virasoro, commutator_defect, mode, o_action,
+                         residue_terms, state_parity)
+from vosa.fock import (Sector, State, ZERO_SPLIT, graded_key, normalize,
+                       parity, state_weight, weight)
+from vosa.modules import OmegaSpace, lowering_mode_labels
 from vosa.zhu import ZhuAlgebra, o_relations
 
 
@@ -62,11 +72,6 @@ def graded_dim_oracle(l: int, offsets, max_weight: Fraction) -> dict:
     return {Fraction(d, denom): poly[d] for d in range(top + 1) if poly[d]}
 
 
-def clifford_dim_oracle(l: int) -> int:
-    """Dimension of the Clifford algebra on an l-dimensional space."""
-    return 2 ** l
-
-
 def matrix_rank_oracle(rows) -> int:
     """Gaussian elimination over Fractions on dense rows."""
     rows = [list(map(Fraction, r)) for r in rows]
@@ -89,22 +94,10 @@ def matrix_rank_oracle(rows) -> int:
     return rank
 
 
-def pascal_holds(binom, alpha: Fraction, s: int) -> bool:
-    """binom(alpha, s) = binom(alpha - 1, s) + binom(alpha - 1, s - 1)."""
-    return binom(alpha, s) == binom(alpha - 1, s) + binom(alpha - 1, s - 1)
-
-
-def integer_binomial(n: int, k: int) -> int:
-    return comb(n, k)
-
-
 def reduction_family(ctx, u, v, m: int, n: int):
     """The member (m, n), m >= n >= 0, of the residue family in O_g:
     sum_s binom(wt u - 1 + delta + r* + n, s) u_{s-m-delta-1} v, with u
     weight- and twist-homogeneous.  (0, 0) is circ."""
-    from vosa.exact import vec_iadd
-    from vosa.fields import residue_terms
-
     if not m >= n >= 0:
         raise ValueError("need m >= n >= 0")
     (wu,) = {weight(x) for x in u}
@@ -238,10 +231,6 @@ def omega_joint_kernel(space, d):
     OmegaSpace solves for the generator modes alone and only checks the
     Virasoro modes on the result, so the two must span the same space.
     """
-    from vosa.exact import nullspace, vec_iadd
-    from vosa.fields import Virasoro
-    from vosa.modules import lowering_mode_labels
-
     d = Fraction(d)
     virasoro = Virasoro(space.algebra)
     monos = space.basis_by_degree(d).get(d, [])
@@ -268,8 +257,6 @@ def zero_mode_rank_oracle(alg, om) -> int:
     monomial on every vector of om.basis, flattened over (vector index,
     monomial) columns, ranked by matrix_rank_oracle.
     """
-    from vosa.fields import o_action
-
     rows = []
     for m in alg.basis:
         row = {}
@@ -279,3 +266,249 @@ def zero_mode_rank_oracle(alg, om) -> int:
         rows.append(row)
     cols = list(dict.fromkeys(k for row in rows for k in row))
     return matrix_rank_oracle([[row.get(k, 0) for k in cols] for row in rows])
+
+
+def ns_orthonormal(l: int) -> Sector:
+    """The algebra's own Fock space on an orthonormal generator basis."""
+    labels = [f"a{i+1}" for i in range(l)]
+    pairing = {(i, i): Fraction(1) for i in range(l)}
+    support = {i: Fraction(1, 2) for i in range(l)}
+    return Sector(labels, pairing, support)
+
+
+def min_assoc_exponent(space, a: State, w: State) -> Fraction:
+    """Smallest kappa with z^kappa a(z) w free of negative powers of z."""
+    wa = state_weight(a)
+    deg = max(space.degree(m) for m in w)
+    n = wa + deg - 1
+    while n > -10:
+        if mode(space, a, n, w, check_index=False):
+            return n + 1
+        n -= HALF
+    return Fraction(0)
+
+
+def verify_associativity(space, a: State, u: State, w: State, kappa,
+                         a_max: int = 3, b_max=3) -> dict:
+    """Compare the two expansions of z^kappa a(x) acting through u on w.
+
+    Coefficients of z0^A z2^B are matched exactly for |A| <= a_max and
+    |B| <= b_max: composing modes of a and u on one side, modes of the
+    products a_i u on the other.  kappa must make z^kappa a(z) w regular.
+    """
+    kappa = Fraction(kappa)
+    alg = space.algebra
+    wu = state_weight(u)
+    deg = max(space.degree(m) for m in w)
+    if kappa < min_assoc_exponent(space, a, w):
+        raise ValueError("kappa too small for a regular product")
+    checked = nonzero = 0
+    b_vals = []
+    b = Fraction(-b_max)
+    while b <= b_max:
+        b_vals.append(b)
+        b += HALF
+    for A in range(-a_max, a_max + 1):
+        for B in b_vals:
+            lhs: State = {}
+            j = 0
+            while j <= wu + deg + B:
+                c0 = gen_binomial(A + j, j)
+                if c0:
+                    uw = mode(space, u, j - B - 1, w, check_index=False)
+                    if uw:
+                        vec_iadd(lhs,
+                                 mode(space, a, kappa - 1 - A - j, uw,
+                                      check_index=False), c0)
+                j += 1
+            rhs: State = {}
+            for i, c0, prod in residue_terms(alg, a, kappa, A + 1, u):
+                vec_iadd(rhs, mode(space, prod, kappa - B - 1 - i, w,
+                                   check_index=False), c0)
+            vec_iadd(lhs, rhs, Fraction(-1))
+            if lhs:
+                return {"ok": False, "checked": checked,
+                        "failure": {"A": str(A), "B": str(B)}}
+            checked += 1
+            if rhs:
+                nonzero += 1
+    return {"ok": True, "checked": checked, "nonzero": nonzero}
+
+
+def verify_o_kernel(space, a: State, targets) -> dict:
+    """o((L(-1) + L(0)) a) acts by zero on every twisted module; o_action
+    is linear, so the inhomogeneous state acts whole."""
+    alg = space.algebra
+    omega = Virasoro(alg).omega
+    st: State = {}
+    vec_iadd(st, mode(alg, omega, 0, a))          # L(-1) a
+    vec_iadd(st, mode(alg, omega, 1, a))          # L(0) a
+    if not st:
+        return {"ok": True, "checked": 0}
+    for checked, w in enumerate(targets):
+        if o_action(space, st, w):
+            return {"ok": False, "checked": checked}
+    return {"ok": True, "checked": len(targets)}
+
+
+class ParitySubmodule:
+    """One of the two halves cut out by a split zero mode e(0).
+
+    The basis consists of (1 + s e(0)) y for even-length y and
+    (1 - s e(0)) y for odd-length y, with y running over the monomials
+    free of the zero-mode symbol; s is +1 or -1.  Invariance under all
+    modes is checked computationally, never assumed.
+    """
+
+    def __init__(self, space: Sector, egid: int, sign: int, max_degree):
+        if space.zero_mode.get(egid) != ZERO_SPLIT:
+            raise ValueError("submodule requires a split zero mode")
+        self.space = space
+        self.egid = egid
+        self.sign = sign
+        self.max_degree = Fraction(max_degree)
+        self.basis: list[State] = []
+        for m in space.basis(self.max_degree):
+            if (Fraction(0), egid) in m:
+                continue
+            s = sign if parity(m) == 0 else -sign
+            vec = {m: Fraction(1)}
+            em, es = normalize(((Fraction(0), egid),) + m)
+            if es:
+                vec[em] = Fraction(s * es)
+            self.basis.append(vec)
+
+    def graded_dims(self) -> dict:
+        dims: dict = {}
+        for v in self.basis:
+            w = state_weight(v)
+            dims[w] = dims.get(w, 0) + 1
+        return dims
+
+    def contains(self, st: State) -> bool:
+        deg = {weight(m) for m in st}
+        cand = [v for v in self.basis if state_weight(v) in deg]
+        return span_coordinates(cand, [st])[0] is not None
+
+    def check_invariance(self) -> bool:
+        """Every generator mode keeps the subspace inside itself, tested
+        on the basis vectors of weight <= 1."""
+        for v in self.basis:
+            if state_weight(v) > 1:
+                continue
+            for g in self.space.gids:
+                qs = list(self.space.left_modes(g, -1)) + \
+                    lowering_mode_labels(self.space, g, state_weight(v))
+                for q in qs:
+                    img: State = {}
+                    for m, c in v.items():
+                        vec_iadd(img, self.space.apply_gen(g, q, m), c)
+                    if not img:
+                        continue
+                    if state_weight(img) > self.max_degree:
+                        continue
+                    if not self.contains(img):
+                        return False
+        return True
+
+    def omega_basis(self, max_degree) -> list[State]:
+        """Lowest-weight vectors of the submodule."""
+        om = OmegaSpace(self.space, max_degree)
+        out = []
+        for v in om.basis:
+            # project the ambient kernel onto this half; the parity rule
+            # makes the projector sign length-dependent
+            proj: State = {}
+            for m, c in v.items():
+                s = self.sign if parity(m) == 0 else -self.sign
+                vec_iadd(proj, {m: c * HALF})
+                em = self.space.apply_gen(self.egid, Fraction(0), m)
+                vec_iadd(proj, em, c * s * HALF)
+            if proj and self.contains(proj):
+                out.append(proj)
+        ech = Echelon()
+        return [v for v in out if ech.add(v)]
+
+
+class Contragredient:
+    """Matrix-level dual module with phase-normalized mode action.
+
+    For states of half-integer weight the defining involution produces
+    a unit-modulus phase; it is stripped, leaving rational matrices R
+    that satisfy the clean twisted commutator identity [R_u, R_v]_pm =
+    sum_i binom(m, i) R_{u_i v}(m + n - i): the stripped phases square
+    to the Koszul sign the odd-odd case needs.  Dual vectors are stored
+    as coefficient dicts against the primal monomial basis; the dual
+    vacuum is {(): 1}.
+    """
+
+    def __init__(self, space, max_degree):
+        self.space = space
+        self.max_degree = Fraction(max_degree)
+        self.vir = Virasoro(space.algebra)
+        self.by_degree = space.basis_by_degree(self.max_degree)
+
+    def graded_dims(self) -> dict:
+        return {d: len(ms) for d, ms in self.by_degree.items()}
+
+    def _phase_free_sign(self, h: Fraction, par: int) -> Fraction:
+        # (-1)^h = i^{par} * (-1)^{(2h - par)/2}
+        e = (2 * h - par) / 2
+        if e.denominator != 1:
+            raise ValueError("weight/parity mismatch")
+        return Fraction((-1) ** (int(e) % 2))
+
+    def rmode(self, a: State, n, f: dict) -> dict:
+        """Phase-normalized action of the dual mode a'_n on a dual vector."""
+        n = Fraction(n)
+        h = state_weight(a)
+        par = state_parity(a)
+        sign = self._phase_free_sign(h, par)
+        # build the finite list of L(1)-descendants of a
+        terms = []
+        cur = dict(a)
+        j = 0
+        fact = Fraction(1)
+        while cur:
+            terms.append((j, {m: c / fact for m, c in cur.items()}))
+            cur = mode(self.space.algebra, self.vir.omega, 2, cur)
+            j += 1
+            fact *= j
+        deg_f = {weight(m) for m in f}
+        out: dict = {}
+        for d in deg_f:
+            dm = d + h - n - 1
+            if dm > self.max_degree:
+                raise ValueError("dual mode leaves the truncated range")
+            for m in self.by_degree.get(dm, []):
+                val = Fraction(0)
+                for j, aj in terms:
+                    img = mode(self.space, aj, 2 * h - n - j - 2,
+                               {m: Fraction(1)}, check_index=False)
+                    for m2, c in img.items():
+                        if m2 in f:
+                            val += sign * c * f[m2]
+                if val:
+                    out[m] = out.get(m, Fraction(0)) + val
+        return {m: c for m, c in out.items() if c}
+
+    def verify_commutator(self, u: State, v: State, samples) -> dict:
+        """The twisted commutator identity transported to the dual side:
+        vosa.fields.commutator_defect with rmode as the action."""
+        # a mixed-parity state is an error, not a skipped sample
+        state_parity(u), state_parity(v)
+        checked = skipped = 0
+        for m, n, f in samples:
+            m, n = Fraction(m), Fraction(n)
+            try:
+                lhs = commutator_defect(self.space.algebra, self.rmode,
+                                        u, m, v, n, f)
+            except ValueError:
+                # an intermediate dual degree left the truncated range
+                skipped += 1
+                continue
+            if lhs:
+                return {"ok": False, "checked": checked,
+                        "failure": {"m": str(m), "n": str(n)}}
+            checked += 1
+        return {"ok": True, "checked": checked, "skipped": skipped}

@@ -1,15 +1,15 @@
 """Exact arithmetic and linear algebra kernels."""
 
 from fractions import Fraction
+from math import comb
 
-import pytest
 from hypothesis import given, strategies as st
 
 from vosa.exact import (Echelon, charpoly_from_power_sums, gen_binomial,
                         nullspace, span_coordinates,
                         squarefree_decomposition, vec_iadd)
 
-from oracles import binomial_oracle, integer_binomial, matrix_rank_oracle
+from oracles import binomial_oracle, matrix_rank_oracle
 
 ALPHAS = [Fraction(p, q) for q in (1, 2, 4) for p in range(-20, 21)]
 
@@ -23,7 +23,7 @@ def test_binomial_matches_oracle():
 def test_binomial_integer_case():
     for n in range(12):
         for k in range(12):
-            assert gen_binomial(Fraction(n), k) == integer_binomial(n, k)
+            assert gen_binomial(Fraction(n), k) == comb(n, k)
 
 
 def test_binomial_pascal_property():
@@ -37,7 +37,7 @@ def test_binomial_pascal_property():
 def test_binomial_negative_one_half():
     # binom(-1/2, s) = (-1/4)^s binom(2s, s)
     for s in range(10):
-        expect = Fraction(-1, 4) ** s * integer_binomial(2 * s, s)
+        expect = Fraction(-1, 4) ** s * comb(2 * s, s)
         assert gen_binomial(Fraction(-1, 2), s) == expect
 
 
@@ -92,7 +92,7 @@ def test_echelon_reduce_idempotent_and_membership():
     for r in _rows_to_dicts(ROWS):
         ech.add(dict(r))
     for r in _rows_to_dicts(ROWS):
-        assert ech.contains(dict(r))
+        assert not ech.reduce(dict(r))
     red = ech.reduce({0: Fraction(1), 3: Fraction(5)})
     assert ech.reduce(dict(red)) == red
 

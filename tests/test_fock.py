@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from vosa.fock import (Sector, ZERO_CREATE, ZERO_SPLIT, normalize, parity,
-                       graded_key, ns_orthonormal, ns_polarized,
-                       state_weight, weight)
+from vosa.fock import (Sector, ZERO_SPLIT, normalize, parity, graded_key,
+                       ns_polarized, state_weight, weight)
 
-from oracles import graded_dim_oracle
+from oracles import graded_dim_oracle, ns_orthonormal
 
 HALF = Fraction(1, 2)
 

@@ -1,0 +1,39 @@
+"""The package holds only code that a command or the benchmark runs.
+
+Every top-level function and class in src/vosa, and every method that
+is not a dunder, must be named (as a name or an attribute) somewhere in
+src/vosa or perfbench; a method that overrides a base-class method
+counts as used.  Checks that only tests call live in tests/oracles.py.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "vosa").glob("*.py"))
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def test_every_definition_is_used_outside_tests():
+    used = set()
+    for path in PACKAGE + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = []
+    for path in PACKAGE:
+        module = importlib.import_module(f"vosa.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, FUNCS + (ast.ClassDef,)) \
+                    and node.name not in used:
+                unused.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                bases = getattr(module, node.name).__mro__[1:]
+                unused += [f"{node.name}.{f.name}" for f in node.body
+                           if isinstance(f, FUNCS) and f.name not in used
+                           and not f.name.startswith("__")
+                           and not any(hasattr(b, f.name) for b in bases)]
+    assert unused == []

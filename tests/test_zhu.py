@@ -109,7 +109,7 @@ _OLD_TWIST_DATA = (
 @pytest.mark.parametrize("ctx,T0,T,g_exp,gs_exp", _OLD_TWIST_DATA)
 def test_support_reproduces_the_exponent_data(ctx, T0, T, g_exp, gs_exp):
     for g in ctx.sector.gids:
-        assert ctx.module_support(g) == (Fraction(g_exp[g], T0) + H) % 1
+        assert ctx.support[g] == (Fraction(g_exp[g], T0) + H) % 1
     for m in ctx.sector.basis(Fraction(2)):
         assert ctx.rstar(m) == Fraction(sum(gs_exp[a] for _, a in m), T) % 1
     assert twisted_module(ctx).support == ctx.support
