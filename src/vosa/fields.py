@@ -2,13 +2,16 @@
 
 The mode u_n of a state u acting on a target w is computed recursively:
 the leading (smallest-mode) free-field factor of u splits around the
-normal ordering into the modes left of the split point (applied after
-the tail field) and those right of it (commuted through the tail with a
-Koszul sign and applied first).  Generators whose module modes sit on
-the shifted lattice carry a fractional twist charge chi, which adds
-finitely many correction terms binom(chi-related) z^{-t} for the states
-a_{t-1}u of lower weight.  Grading bounds keep every sum finite, so no
-formal series is ever materialized.
+normal ordering into the modes q <= charge - 1/2 left of the split point
+(applied after the tail field) and those right of it (commuted through
+the tail with a Koszul sign and applied first).  On a twisted module the
+left side can hold positive modes too.  Generators whose module modes
+sit on the shifted lattice carry a fractional twist charge chi, which
+adds finitely many correction terms binom(chi-related) z^{-t} for the
+states a_{t-1}u of lower weight.  A one-factor state has no tail and no
+correction, so its mode is one generator mode, computed in closed form.
+Grading bounds keep every sum finite, so no formal series is ever
+materialized.
 """
 
 from __future__ import annotations
@@ -32,7 +35,12 @@ def twist_correction(chi: Fraction, p: int, t: int) -> Fraction:
 
 
 def mode_mono(space, u: Monomial, n: Fraction, w) -> State:
-    """u_n applied to a single target basis element w; returns a State."""
+    """u_n applied to a single target basis element w; returns a State.
+
+    The leading generator a of u splits at charge(a) - 1/2: modes at or
+    below it act after the tail, the positive modes above it act on w
+    first.  Each mode of a sits on exactly one side.
+    """
     cache = space._mode_cache
     key = (u, n, w)
     hit = cache.get(key)
@@ -52,11 +60,26 @@ def mode_mono(space, u: Monomial, n: Fraction, w) -> State:
     if p < 0 or p.denominator != 1:
         raise ValueError("states must live in the half-integer Fock space")
     p = int(p)
+    if not tail:
+        # the empty tail takes only its -1 mode and leaves no twist
+        # correction, so u_n w = C(-q-1/2, p) a_q w at q = n - p + 1/2;
+        # a right mode acts only where it meets a paired factor of w,
+        # which apply_gen checks
+        q = n - p + HALF
+        coeff = gen_binomial(-q - HALF, p)
+        out = {}
+        if coeff and (q - space.support[a]) % 1 == 0:
+            out = {m: coeff * c for m, c in space.apply_gen(a, q, w).items()}
+        cache[key] = out
+        return out
+    chi = space.charge(a)
     tail_sign = -1 if parity(tail) else 1
     wt_tail = weight(tail)
     out: State = {}
     # right of the normal ordering: act on w first, sign past the tail
     for q in space.ann_modes(a, w):
+        if q <= chi - HALF:
+            continue  # a left mode, taken below
         aw = space.apply_gen(a, q, w)
         if not aw:
             continue
@@ -75,7 +98,6 @@ def mode_mono(space, u: Monomial, n: Fraction, w) -> State:
             vec_iadd(out, space.apply_gen(a, q, m2), coeff * c2)
     # twist corrections: lower-weight products of the leading generator
     # with the tail, taken inside the algebra itself
-    chi = space.charge(a)
     if chi:
         gen = {((-HALF, a),): Fraction(1)}
         t = 1

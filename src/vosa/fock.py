@@ -152,7 +152,9 @@ class Sector:
 
         The split point depends only on the twist charge: modes q <=
         charge - 1/2 sit on the left, so a zero mode always does,
-        whatever operator it happens to act by.
+        whatever operator it happens to act by, and on a rotation twist
+        (charge above 1/2) so do the positive modes up to charge - 1/2.
+        The modes above the split point sit on the right.
         """
         q = self.charge(gid) - Fraction(1, 2)
         out = []
@@ -162,7 +164,9 @@ class Sector:
         return out
 
     def ann_modes(self, gid: int, mono: Monomial):
-        """Right-of-normal-ordering modes that can act on mono, ascending."""
+        """Positive modes of gid that meet a paired factor of mono,
+        ascending: the positive modes that can act on mono.  Those up to
+        charge - 1/2 sit left of the normal ordering, the rest right."""
         out = {
             -mu
             for mu, h in mono
@@ -221,7 +225,7 @@ class Sector:
         out = []
 
         def grow(start: int, acc: list, w):
-            out.append(tuple(acc))
+            out.append((w, tuple(acc)))
             for i in range(start, len(factors)):
                 dw = -factors[i][0]
                 if w + dw <= max_weight:
@@ -229,9 +233,10 @@ class Sector:
                     grow(i + 1, acc, w + dw)
                     acc.pop()
 
+        # (weight, monomial) pairs sort in graded_key order
         grow(0, [], Fraction(0))
-        out.sort(key=graded_key)
-        return out
+        out.sort()
+        return [mono for _, mono in out]
 
     def basis_by_degree(self, max_weight) -> dict:
         by: dict = {}

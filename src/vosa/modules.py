@@ -10,12 +10,14 @@ matrices come from omega_umats alone: zhu_rank (the certification lower
 bound), zhu_action_report and induction all read them.
 
 Omega(M) is computed as the joint kernel of the positive generator
-modes.  The mode recursion writes every lowering mode of every state
-through these (the factors right of the normal ordering are positive
-generator modes, the ones left of it never lower the degree, and the
-twist corrections are modes of lower-weight states), so the kernel is
-all of Omega(M); the positive Virasoro modes are verified to vanish on
-the result rather than solved for.
+modes, wherever they sit in the normal ordering.  On a rotation twist
+the recursion's split point puts positive modes up to charge - 1/2 on
+the left, so the factors left of it can lower the degree too.  The
+kernel is still all of Omega(M): with the split moved to mode 0, every
+term of a lowering mode applies a positive generator mode first, or a
+nonpositive one after a lowering mode of a shorter state, or is a twist
+correction, a mode of a lower-weight state.  The positive Virasoro modes
+are verified to vanish on the result rather than solved for.
 """
 
 from __future__ import annotations
@@ -63,27 +65,14 @@ def twisted_module(ctx: TwistContext) -> Sector:
                   zero_mode=_zero_mode_policies(ctx), algebra=sector)
 
 
-def lowering_mode_labels(space, gid: int, max_degree) -> list:
-    """Mode labels q > 0 of one generator that can lower degrees <= max."""
-    q = space.support[gid]
-    if q == 0:
-        q = Fraction(1)
-    out = []
-    while q <= max_degree:
-        out.append(q)
-        q += 1
-    return out
-
-
 class OmegaSpace:
     """Joint kernel of all degree-lowering modes, degree by degree.
 
-    The kernel is computed against the positive generator modes alone.
-    That is already the full lowest-weight space: in the mode recursion
-    every factor right of the normal ordering is a positive generator
-    mode, which kills a kernel vector, factors left of it never lower the
-    degree, and the twist corrections are modes of lower-weight states,
-    covered by induction on weight.  The positive Virasoro modes L(m),
+    The kernel is computed against the positive generator modes alone,
+    left or right of the normal ordering; that is already the full
+    lowest-weight space (see the module docstring).  A monomial's row
+    holds only the modes space.ann_modes names, since no other positive
+    mode meets one of its factors.  The positive Virasoro modes L(m),
     1 <= m <= degree, are applied to every kernel vector as a check, and
     a nonzero image raises RuntimeError.
     """
@@ -100,7 +89,7 @@ class OmegaSpace:
             for m in monos:
                 img: dict = {}
                 for g in space.gids:
-                    for q in lowering_mode_labels(space, g, d):
+                    for q in space.ann_modes(g, m):
                         for m2, c in space.apply_gen(g, q, m).items():
                             vec_iadd(img, {(g, q, m2): c})
                 images.append(img)

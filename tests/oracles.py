@@ -15,10 +15,13 @@ same space as; full_pairs_relations, the relation generator over all
 pairs; generator_first_relations, which adds the depth-1 reduction
 family to the circ products; two_cutoff_stabilized, the comparison of
 from-scratch eager builds at two consecutive cutoffs that the package
-reads off one build; omega_joint_kernel, the lowest-weight space cut
-out by the generator and the Virasoro modes together; and
+reads off one build; recursive_mode_mono, the mode recursion without
+the closed form for a one-factor state; omega_joint_kernel, the
+lowest-weight space cut out by every positive generator mode
+(lowering_mode_labels) and the Virasoro modes together; and
 zero_mode_rank_oracle, which reads the package's o_action but none of
-its matrices or echelon.
+its matrices or echelon.  TWISTS names the twist contexts the tests
+share.
 
 The checks at the end, which no command calls, also run on the
 package's own mode recursion: ns_orthonormal, min_assoc_exponent,
@@ -27,15 +30,50 @@ Contragredient test the engine against the vertex-algebra axioms.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from vosa.exact import (Echelon, gen_binomial, nullspace, span_coordinates,
                         vec_iadd)
 from vosa.fields import (HALF, Virasoro, commutator_defect, mode, o_action,
-                         residue_terms, state_parity)
+                         residue_terms, state_parity, twist_correction)
 from vosa.fock import (Sector, State, ZERO_SPLIT, graded_key, normalize,
-                       parity, state_weight, weight)
-from vosa.modules import OmegaSpace, lowering_mode_labels
-from vosa.zhu import ZhuAlgebra, o_relations
+                       ns_polarized, parity, state_weight, weight)
+from vosa.modules import OmegaSpace
+from vosa.zhu import (TwistContext, ZhuAlgebra, ctx_identity, ctx_sigma,
+                      ctx_tau, o_relations)
+
+
+def _diagonal(name, support):
+    """The twist of ns_polarized(len(support)) whose g*sigma acts on
+    generator i by exp(2 pi i support[i])."""
+    return TwistContext(name, ns_polarized(len(support)),
+                        dict(enumerate(map(Fraction, support))))
+
+
+# every twist context the tests share, by name; a call builds a fresh one
+TWISTS = {
+    **{f"sigma{l}": partial(ctx_sigma, l) for l in (1, 2, 3, 4)},
+    **{f"id{l}": partial(ctx_identity, l) for l in (1, 2, 3)},
+    "tau": ctx_tau,
+    # g = i on b and -i on B: module modes on Z + 3/4 and Z + 1/4
+    "order4": partial(_diagonal, "order4",
+                      (Fraction(3, 4), Fraction(1, 4))),
+    # g*sigma of order 3, 6 and 4 beyond the order-two twists
+    "rot3": partial(_diagonal, "rot3", (Fraction(1, 3), Fraction(2, 3), 0)),
+    "rot6": partial(_diagonal, "rot6", (Fraction(1, 6), Fraction(5, 6))),
+    "rot4": partial(_diagonal, "rot4", (Fraction(1, 4), 0, Fraction(3, 4), 0)),
+    # order 4 on l = 5, with g = 1 and g = -1 on e
+    "order4-l5": partial(_diagonal, "order4-l5",
+                         (0, Fraction(1, 4), 0, Fraction(3, 4), HALF)),
+    "order4-l5-e0": partial(_diagonal, "order4-l5-e0",
+                            (0, Fraction(1, 4), 0, Fraction(3, 4), 0)),
+}
+LADDER = ["sigma1", "sigma2", "sigma3", "sigma4", "id1", "id2", "id3", "tau"]
+ROTATIONS = ["rot3", "rot6", "rot4"]
+# twists with a generator of support in (0, 1/2): positive modes up to
+# charge - 1/2 sit left of the normal ordering on their modules
+LEFT_POSITIVE = ["order4", "rot3", "rot6", "rot4", "order4-l5",
+                 "order4-l5-e0"]
 
 
 def binomial_oracle(alpha: Fraction, s: int) -> Fraction:
@@ -222,6 +260,67 @@ def two_cutoff_stabilized(ctx, max_weight, margin=Fraction(1),
     high = EagerZhuAlgebra(ctx, low.max_weight + Fraction(1, 2), margin,
                            relations)
     return low, high, low.basis == high.basis
+
+
+def lowering_mode_labels(space, gid: int, max_degree) -> list:
+    """Mode labels q > 0 of one generator that can lower degrees <= max."""
+    q = space.support[gid]
+    if q == 0:
+        q = Fraction(1)
+    out = []
+    while q <= max_degree:
+        out.append(q)
+        q += 1
+    return out
+
+
+def recursive_mode_mono(space, u, n, w, memo=None) -> State:
+    """u_n w by the plain mode recursion, with no closed form for one
+    factor: the leading generator a of u splits into its left modes q <=
+    charge(a) - 1/2, applied after the tail, and its positive right modes
+    above that, applied first; then the twist corrections.  Products in
+    the algebra recurse here too.  memo maps (space, u, n, w) to results
+    and may be shared between calls.
+    """
+    if not u:
+        return {w: Fraction(1)} if n == -1 else {}
+    if memo is None:
+        memo = {}
+    key = (space, u, n, w)
+    if key in memo:
+        return memo[key]
+    out: State = {}
+    memo[key] = out  # filled in below; the recursion never returns to key
+    if space.degree(w) + weight(u) - n - 1 < 0:
+        return out
+    (mu, a), tail = u[0], u[1:]
+    p = int(-mu - HALF)
+    chi = space.charge(a)
+    tail_sign = -1 if parity(tail) else 1
+    wt_tail = weight(tail)
+    for q in space.ann_modes(a, w):
+        if q <= chi - HALF:
+            continue
+        coeff = gen_binomial(-q - HALF, p) * tail_sign
+        for m2, c2 in space.apply_gen(a, q, w).items():
+            vec_iadd(out, recursive_mode_mono(space, tail, n - q - p - HALF,
+                                              m2, memo), coeff * c2)
+    lo = n - p - HALF - (space.degree(w) + wt_tail - 1)
+    for q in space.left_modes(a, lo):
+        res = recursive_mode_mono(space, tail, n - q - p - HALF, w, memo)
+        for m2, c2 in res.items():
+            vec_iadd(out, space.apply_gen(a, q, m2),
+                     gen_binomial(-q - HALF, p) * c2)
+    t = 1
+    while chi and HALF + wt_tail - t >= 0:
+        ct = twist_correction(chi, p, t)
+        prod = recursive_mode_mono(space.algebra, ((-HALF, a),), t - 1, tail,
+                                   memo) if ct else {}
+        for m2, c2 in prod.items():
+            vec_iadd(out, recursive_mode_mono(space, m2, n - p - t, w, memo),
+                     -ct * c2)
+        t += 1
+    return out
 
 
 def omega_joint_kernel(space, d):

@@ -6,13 +6,16 @@ import pytest
 
 from vosa.exact import vec_iadd
 from vosa.fock import ns_polarized, state_weight, weight
-from vosa.fields import (Virasoro, mode, mode_offset, o_action,
+from vosa.fields import (Virasoro, mode, mode_mono, mode_offset, o_action,
                          twist_correction, verify_commutator,
                          verify_skew_symmetry, verify_translation)
 from vosa.zhu import ctx_sigma, ctx_tau
-from vosa.modules import twisted_module
+from vosa.modules import (InducedSpace, certified_zhu, omega_umats,
+                          twisted_module)
 
-from oracles import min_assoc_exponent, ns_orthonormal, verify_associativity
+from oracles import (LADDER, LEFT_POSITIVE, TWISTS, min_assoc_exponent,
+                     ns_orthonormal, recursive_mode_mono,
+                     verify_associativity)
 
 H = Fraction(1, 2)
 ONE = Fraction(1)
@@ -119,6 +122,48 @@ def test_mode_offset_coset_enforced():
     assert mode(M, gen(1), -H, vac()) != {}
 
 
+def _space_of_kind(ctx, kind):
+    if kind == "algebra":
+        return ctx.sector
+    if kind == "module":
+        return twisted_module(ctx)
+    rep = certified_zhu(ctx, Fraction(2))
+    umats, udim = omega_umats(rep["algebra"], rep["omega"])
+    return InducedSpace(rep["algebra"], umats, udim, Fraction(2))
+
+
+# each algebra sector once (id and sigma share theirs, and the id module
+# is the algebra), every twisted module and every induced space
+CLOSED_FORM_CASES = (
+    [(name, "algebra") for name in LADDER[:4] + ["tau"]]
+    + [(name, "module") for name in LADDER[:4] + ["tau"] + LEFT_POSITIVE]
+    + [(name, "induced") for name in LADDER + LEFT_POSITIVE])
+
+
+@pytest.mark.parametrize("name,kind", CLOSED_FORM_CASES)
+def test_one_factor_closed_form_matches_the_recursion(name, kind):
+    # the closed form for u = a_{-p-1/2}|0>, and the recursion built on
+    # it, against the plain recursion; no result may hold a zero entry
+    ctx = TWISTS[name]()
+    space = _space_of_kind(ctx, kind)
+    memo: dict = {}
+
+    def check(u, ks, targets):
+        off = mode_offset(space, u)
+        for k in ks:
+            for w in targets:
+                got = mode_mono(space, u, off + k, w)
+                assert got == recursive_mode_mono(space, u, off + k, w, memo)
+                assert all(got.values())
+
+    one_factor = [((-H - p, a),) for a in space.gids for p in range(3)]
+    for u in one_factor:
+        check(u, range(-4, 5), space.basis(Fraction(3, 2)))
+    for u in ctx.sector.basis(Fraction(3, 2)):
+        if len(u) > 1:
+            check(u, range(-1, 2), space.basis(1))
+
+
 # ------------------------------------------------- structure identities
 def _module_targets(M, top):
     return [{m: ONE} for m in M.basis(Fraction(top))]
@@ -143,6 +188,30 @@ def test_commutator_identity_200_triples():
                 assert rep["ok"], (ctx.name, iu, iv, rep)
                 total += rep["checked"]
     assert total >= 200
+
+
+@pytest.mark.parametrize("name", LEFT_POSITIVE)
+def test_commutator_identity_with_positive_left_modes(name):
+    # a generator of support s in (0, 1/2) has its positive modes up to
+    # s on the left of the normal ordering; each must act on one side
+    # only, or the commutator formula fails on the module
+    ctx = TWISTS[name]()
+    M = twisted_module(ctx)
+    sec = ctx.sector
+    bilinears = [{m: ONE} for m in sec.basis(ONE) if len(m) == 2][:3]
+    states = ([gen(g) for g in sec.gids] + [Virasoro(sec).omega]
+              + bilinears)
+    offs = [mode_offset(M, next(iter(s))) for s in states]
+    # the first basis target of each degree up to 3/2
+    targets = [{ms[0]: ONE}
+               for ms in M.basis_by_degree(Fraction(3, 2)).values()]
+    for iu, u in enumerate(states):
+        for iv, v in enumerate(states):
+            samples = [(offs[iu] + i, offs[iv] + j, w)
+                       for i in (-1, 0, 1) for j in (-1, 0, 1)
+                       for w in targets]
+            rep = verify_commutator(M, u, v, samples)
+            assert rep["ok"], (iu, iv, rep)
 
 
 def test_commutator_rejects_off_coset_indices():

@@ -12,8 +12,9 @@ from vosa.modules import (InducedSpace, OmegaSpace, certified_zhu,
                           twisted_module, zhu_action_report, zhu_rank)
 from vosa.zhu import ZhuAlgebra, ctx_identity, ctx_sigma, ctx_tau
 
-from oracles import (Contragredient, ParitySubmodule, graded_dim_oracle,
-                     omega_joint_kernel, zero_mode_rank_oracle)
+from oracles import (TWISTS, Contragredient, ParitySubmodule,
+                     graded_dim_oracle, omega_joint_kernel,
+                     zero_mode_rank_oracle)
 
 H = Fraction(1, 2)
 ONE = Fraction(1)
@@ -114,25 +115,22 @@ def _assert_omega_is_joint_kernel(space, depth):
     assert not got
 
 
-def _context_named(name):
-    if name == "tau":
-        return ctx_tau()
-    make = ctx_identity if name.startswith("id") else ctx_sigma
-    return make(int(name[-1]))
-
-
 @pytest.mark.parametrize("name,depth", [
     ("sigma1", 3), ("sigma2", 3), ("sigma3", 3), ("sigma4", 2),
-    ("id1", 3), ("id2", 3), ("id3", 3), ("tau", 3)])
+    ("id1", 3), ("id2", 3), ("id3", 3), ("tau", 3),
+    # lowering modes on fractional cosets, some of them left of the
+    # normal ordering
+    ("order4", 3), ("rot3", 3), ("rot6", 3), ("rot4", 2),
+    ("order4-l5", 2), ("order4-l5-e0", 2)])
 def test_omega_matches_joint_kernel_on_twisted_modules(name, depth):
-    _assert_omega_is_joint_kernel(twisted_module(_context_named(name)),
+    _assert_omega_is_joint_kernel(twisted_module(TWISTS[name]()),
                                   Fraction(depth))
 
 
 @pytest.mark.parametrize("seed", ["omega", "regular"])
 @pytest.mark.parametrize("name", ["sigma2", "sigma3", "tau"])
 def test_omega_matches_joint_kernel_on_induced_modules(name, seed):
-    rep = certified_zhu(_context_named(name), Fraction(2))
+    rep = certified_zhu(TWISTS[name](), Fraction(2))
     alg = rep["algebra"]
     umats, udim = (omega_umats(alg, rep["omega"]) if seed == "omega"
                    else (alg.left_multiplications(), alg.dim))
@@ -333,19 +331,10 @@ def test_regular_seed_matches_star_table(ctx, w):
                 assert mat[y].get(x, 0) == alg.star_coords(i, y).get(x, 0)
 
 
-def _ctx_order_four():
-    # g = i on b and -i on B: module modes on Z + 3/4 and Z + 1/4
-    from vosa.fock import ns_polarized
-    from vosa.zhu import TwistContext
-
-    return TwistContext("order4", ns_polarized(2),
-                        {0: Fraction(3, 4), 1: Fraction(1, 4)})
-
-
 @pytest.mark.parametrize("ctx", (
     [pytest.param(ctx_sigma(l), id=f"sigma{l}") for l in (1, 2, 3, 4)]
     + [pytest.param(ctx_tau(), id="tau"),
-       pytest.param(_ctx_order_four(), id="order4")]))
+       pytest.param(TWISTS["order4"](), id="order4")]))
 def test_omega_umats_match_the_zero_mode_action(ctx):
     # column y of basis[i]'s sparse matrix, expanded in the kernel basis,
     # is o(basis[i]) applied to the y-th kernel vector
@@ -365,7 +354,7 @@ def test_omega_umats_match_the_zero_mode_action(ctx):
     [pytest.param(ctx_sigma(l), id=f"sigma{l}") for l in (1, 2, 3, 4)]
     + [pytest.param(ctx_identity(l), id=f"id{l}") for l in (1, 2, 3)]
     + [pytest.param(ctx_tau(), id="tau"),
-       pytest.param(_ctx_order_four(), id="order4")]))
+       pytest.param(TWISTS["order4"](), id="order4")]))
 def test_zhu_rank_matches_the_dense_zero_mode_rank(ctx):
     # the lower bound read off the omega_umats matrices equals the rank of
     # the o_action images in the monomial basis, by dense elimination
@@ -417,7 +406,7 @@ def test_induction_under_an_order_four_twist():
     # g = i on b and -i on B puts the module modes on Z + 3/4 and Z + 1/4,
     # off the half-integer grid; induction from the one-dimensional
     # Zhu algebra must still rebuild the twisted module
-    ctx = _ctx_order_four()
+    ctx = TWISTS["order4"]()
     rep = certified_zhu(ctx, Fraction(2))
     assert rep["certified"] and rep["dim_upper"] == 1
     umats, udim = omega_umats(rep["algebra"], rep["omega"])

@@ -18,13 +18,14 @@ from math import comb
 
 import pytest
 
-from oracles import (EagerZhuAlgebra, full_pairs_relations,
+import oracles
+from oracles import (TWISTS, EagerZhuAlgebra, full_pairs_relations,
                      generator_circ_relations, generator_first_relations,
                      o_relations_window, two_cutoff_stabilized)
 from vosa import modules, zhu
 from vosa.cli import EXIT_ERROR, main
 from vosa.fields import mode
-from vosa.fock import graded_key, ns_polarized, weight
+from vosa.fock import graded_key, weight
 from vosa.modules import certified_zhu
 from vosa.zhu import (TwistContext, ZhuAlgebra, ctx_identity, ctx_sigma,
                       ctx_tau, o_relations)
@@ -99,23 +100,23 @@ def test_generator_first_matches_full_pairs(ctx, cut, monkeypatch):
     _lazy_matches_eager(ctx, *cut, full_pairs_relations, monkeypatch)
 
 
-LADDER = (
-    [pytest.param(ctx_sigma(l), Fraction(5, 2) if l < 4 else Fraction(2),
-                  Fraction(2), id=f"sigma{l}") for l in (1, 2, 3, 4)]
-    + [pytest.param(ctx_identity(l), Fraction(2), Fraction(1), id=f"id{l}")
-       for l in (1, 2, 3)]
-    + [pytest.param(ctx_tau(), Fraction(2), Fraction(1), id="tau")])
+# cutoff and margin of each shared twist: the sigma ladder with margin 2,
+# the others at cutoff 2 with margin 1; the rotations are the diagonal
+# twists beyond order 2
+CUTS = {"sigma1": (Fraction(5, 2), Fraction(2)),
+        "sigma2": (Fraction(5, 2), Fraction(2)),
+        "sigma3": (Fraction(5, 2), Fraction(2)),
+        "sigma4": (Fraction(2), Fraction(2))}
 
-# diagonal twists beyond order 2: g*sigma of order 3, 6 and 4 acts on
-# each generator by exp(2 pi i support)
-ROTATIONS = [
-    pytest.param(TwistContext(name, ns_polarized(len(support)),
-                              dict(enumerate(support))),
-                 Fraction(2), Fraction(1), id=name)
-    for name, support in [
-        ("rot3", (Fraction(1, 3), Fraction(2, 3), 0)),
-        ("rot6", (Fraction(1, 6), Fraction(5, 6))),
-        ("rot4", (Fraction(1, 4), 0, Fraction(3, 4), 0))]]
+
+def _params(names):
+    return [pytest.param(TWISTS[name](),
+                         *CUTS.get(name, (Fraction(2), Fraction(1))), id=name)
+            for name in names]
+
+
+LADDER = _params(oracles.LADDER)
+ROTATIONS = _params(oracles.ROTATIONS)
 
 SIGMA3_LOW = pytest.param(ctx_sigma(3), Fraction(1), Fraction(1),
                           id="sigma3-low")
