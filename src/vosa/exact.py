@@ -187,91 +187,3 @@ def mat_lincomb(mats, coords: dict, n: int) -> list:
         for col, src in zip(cols, mats[i]):
             vec_iadd(col, src, c)
     return cols
-
-
-# -- univariate polynomials: coefficient lists, lowest degree first ---------
-
-def _trim(p: list) -> list:
-    p = list(p)
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def poly_derivative(p: list) -> list:
-    return _trim([k * c for k, c in enumerate(p)][1:])
-
-
-def poly_divmod(a: list, b: list) -> tuple:
-    """Quotient and remainder of a by a nonzero b over the rationals."""
-    a, b = _trim(a), _trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = [Fraction(x) for x in a]
-    while len(r) >= len(b):
-        c = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = c
-        for k, x in enumerate(b):
-            r[shift + k] -= c * x
-        r = _trim(r)
-    return _trim(q), r
-
-
-def poly_gcd(a: list, b: list) -> list:
-    """Monic greatest common divisor (Euclid over the rationals)."""
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return [Fraction(x) / a[-1] for x in a] if a else []
-
-
-def squarefree_decomposition(f: list) -> dict:
-    """Yun's algorithm: {e: P_e} with monic f = prod P_e**e.
-
-    The P_e are squarefree, pairwise coprime and of positive degree.
-    """
-    f = _trim(f)
-    f = [Fraction(x) / f[-1] for x in f]
-    df = poly_derivative(f)
-    a = poly_gcd(f, df)
-    b = poly_divmod(f, a)[0]
-    c = poly_divmod(df, a)[0]
-    d = _poly_sub(c, poly_derivative(b))
-    parts = {}
-    e = 1
-    while len(b) > 1:
-        a = poly_gcd(b, d)
-        if len(a) > 1:
-            parts[e] = a
-        b = poly_divmod(b, a)[0]
-        c = poly_divmod(d, a)[0]
-        d = _poly_sub(c, poly_derivative(b))
-        e += 1
-    return parts
-
-
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    return _trim([(a[k] if k < len(a) else 0) - (b[k] if k < len(b) else 0)
-                  for k in range(n)])
-
-
-def charpoly_from_power_sums(p: list) -> list:
-    """Characteristic polynomial of an n x n matrix from p[k-1] = tr(A^k).
-
-    Newton's identities k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i give
-    the elementary symmetric functions of the eigenvalues; the result is
-    det(x - A), monic of degree n = len(p), lowest degree first.
-    """
-    n = len(p)
-    e = [Fraction(1)]
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            term = e[k - i] * p[i - 1]
-            acc += term if i % 2 else -term
-        e.append(acc / k)
-    return [e[n - j] if (n - j) % 2 == 0 else -e[n - j]
-            for j in range(n + 1)]

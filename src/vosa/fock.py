@@ -214,8 +214,9 @@ class Sector:
             sign = -sign
         return out
 
-    def basis(self, max_weight) -> list[Monomial]:
-        """All monomials of weight <= max_weight in graded-lex order."""
+    def _weighed_basis(self, max_weight) -> list:
+        """(weight, monomial) pairs of weight <= max_weight, sorted: the
+        monomials in graded-lex order, each with its weight."""
         max_weight = Fraction(max_weight)
         factors = []
         for g in self.gids:
@@ -236,12 +237,17 @@ class Sector:
         # (weight, monomial) pairs sort in graded_key order
         grow(0, [], Fraction(0))
         out.sort()
-        return [mono for _, mono in out]
+        return out
+
+    def basis(self, max_weight) -> list[Monomial]:
+        """All monomials of weight <= max_weight in graded-lex order."""
+        return [mono for _, mono in self._weighed_basis(max_weight)]
 
     def basis_by_degree(self, max_weight) -> dict:
+        """The basis grouped by degree, in basis order within a group."""
         by: dict = {}
-        for el in self.basis(max_weight):
-            by.setdefault(self.degree(el), []).append(el)
+        for w, mono in self._weighed_basis(max_weight):
+            by.setdefault(w, []).append(mono)
         return by
 
     def graded_dims(self, max_weight) -> dict:

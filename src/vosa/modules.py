@@ -259,6 +259,10 @@ class InducedSpace(Sector):
         return [(m, j) for m in super().basis(max_degree)
                 for j in range(self.udim)]
 
+    def basis_by_degree(self, max_degree) -> dict:
+        return {d: [(m, j) for m in monos for j in range(self.udim)]
+                for d, monos in super().basis_by_degree(max_degree).items()}
+
 
 def omega_umats(alg: ZhuAlgebra, om: OmegaSpace) -> tuple:
     """The zero-mode matrices of a lowest-weight space as a seed module.

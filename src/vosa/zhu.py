@@ -18,11 +18,10 @@ generated only when a reduction reaches m.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 
-from .exact import (Echelon, charpoly_from_power_sums, mat_apply,
-                    mat_lincomb, poly_derivative, poly_gcd, span_coordinates,
-                    squarefree_decomposition, vec_iadd)
+from .exact import (Echelon, mat_apply, mat_lincomb, span_coordinates,
+                    vec_iadd)
 from .fock import (
     Monomial,
     Sector,
@@ -418,88 +417,62 @@ def trace_form_radical_dim(alg: ZhuAlgebra) -> int:
     return len(nullspace(rows))
 
 
-def _minimal_polynomial(mat: list, unit: dict) -> list:
-    """Monic minimal polynomial of the element with left multiplication
-    mat, from its powers applied to the unit; low degree first."""
-    powers = [unit]
-    while True:
-        nxt = mat_apply(mat, powers[-1])
-        coords = span_coordinates(powers, [nxt])[0]
-        if coords is not None:
-            return [-coords.get(j, Fraction(0))
-                    for j in range(len(powers))] + [Fraction(1)]
-        powers.append(nxt)
-
-
-def separating_element(left: list, zc: list[dict], unit: dict) -> tuple:
-    """A central element that generates the center, if the center is
-    semisimple.
-
-    left holds the left multiplications of the basis classes and zc a
-    basis of the center.  Tries z(c) = sum_i c^i zc[i] for c = 0, 1, ...,
-    C(k,2)(k-1) with k = len(zc): two distinct characters of a semisimple
-    center differ on z(c), a nonzero polynomial of degree < k in c, for
-    all but at most k - 1 values of c, so one of these candidates
-    separates every pair.  Returns the left multiplication of the first z
-    whose minimal polynomial has degree k, and that polynomial.
-    """
-    k = len(zc)
-    for c in range(comb(k, 2) * (k - 1) + 1):
-        z: dict = {}
-        for i, v in enumerate(zc):
-            vec_iadd(z, v, Fraction(c) ** i)
-        lz = mat_lincomb(left, z, len(left))
-        minpoly = _minimal_polynomial(lz, unit)
-        if len(minpoly) - 1 == k:
-            return lz, minpoly
-    raise RuntimeError("no separating central element found")
-
-
 def block_profile(alg: ZhuAlgebra) -> dict:
     """Semisimple structure of the algebra: matrix block sizes.
 
-    The minimal polynomial of a separating central element z
-    (separating_element) has the center's dimension as degree and must
-    be squarefree (a semisimple center).  Over C each simple block of
-    size s contributes an eigenvalue of L_z of multiplicity s^2, so Yun's
-    squarefree decomposition of the characteristic polynomial of L_z,
-    prod P_e^e, gives deg P_e blocks of size sqrt(e).  The characteristic
-    polynomial comes from Newton's identities on the power sums
-    tr(L_z^k) = tr(L_{z^k}).  Everything is exact rational arithmetic on
-    left_multiplications, whose products rely on the associativity of
-    A_g(V); the plain star_coords table is the checked reference.
+    Over C a semisimple A of dimension n is a sum of blocks M_{s_j}, and
+    its central idempotents e_j span the center Z.  The two trace forms
+    T_A(x, y) = tr_A(L_{xy}) and T_Z(x, y) = tr_Z(xy) on Z are diag(s_j^2)
+    and the identity in the e_j basis, since L_{e_j} projects A onto its
+    block of dimension s_j^2 and Z onto the line of e_j.  So the number
+    of blocks of size s is dim ker(T_A - s^2 T_Z).  Both forms have
+    rational entries on the rational center basis of center_basis, so
+    that kernel is computed over Q and has the same dimension over C,
+    even when the e_j are not rational.  Everything is exact rational
+    arithmetic on left_multiplications, whose products rely on the
+    associativity of A_g(V); the plain star_coords table is the checked
+    reference.
 
-    Multiplicities give blocks only for a semisimple algebra: with a
-    nonzero radical, blocks is None.  A zero radical makes the center
-    semisimple, so the squarefree test is a consistency check.
+    Blocks are read off only for a semisimple algebra: with a nonzero
+    radical, blocks is None.  A zero radical makes the center semisimple,
+    so a degenerate T_Z and block sizes that do not add up to the center
+    and the dimension are consistency failures (RuntimeError).
     """
+    from .exact import nullspace
+
     rad = trace_form_radical_dim(alg)
     zc = center_basis(alg)
     if rad:
         return {"center_dim": len(zc), "radical_dim": rad, "blocks": None}
     left = alg.left_multiplications()
     n, k = alg.dim, len(zc)
-    unit = alg.unit_coords()
-    lz, minpoly = separating_element(left, zc, unit)
-    if len(poly_gcd(minpoly, poly_derivative(minpoly))) > 1:
-        raise RuntimeError("center is not semisimple")
+    # consts[i][j] = coordinates of zc[i] * zc[j] on the center basis
+    lzc = [mat_lincomb(left, z, n) for z in zc]
+    prods = span_coordinates(zc, [mat_apply(lz, z) for lz in lzc for z in zc])
+    consts = [prods[i * k:(i + 1) * k] for i in range(k)]
     traces = [sum((col.get(j, 0) for j, col in enumerate(mat)), Fraction(0))
               for mat in left]
-    power, sums = unit, []
-    for _ in range(n):
-        power = mat_apply(lz, power)
-        sums.append(sum((traces[t] * x for t, x in power.items()),
-                        Fraction(0)))
-    parts = squarefree_decomposition(charpoly_from_power_sums(sums))
+    # the linear forms t_A(x) = tr_A(L_x) and t_Z(x) = tr_Z(x) on zc
+    t_a = [sum((traces[t] * x for t, x in z.items()), Fraction(0))
+           for z in zc]
+    t_z = [sum((consts[m][i].get(i, 0) for i in range(k)), Fraction(0))
+           for m in range(k)]
+
+    def form(t):
+        # columns of the bilinear form (x, y) -> t(xy) on the center basis
+        return [{i: v for i in range(k)
+                 if (v := sum((c * t[m] for m, c in consts[i][j].items()),
+                              Fraction(0)))}
+                for j in range(k)]
+
+    form_a, form_z = form(t_a), form(t_z)
+    if nullspace(form_z):
+        raise RuntimeError("center is not semisimple")
     blocks = []
-    for e, p in parts.items():
-        s = isqrt(e)
-        if s * s != e:
-            raise RuntimeError("component does not split into square blocks")
-        blocks.extend([s] * (len(p) - 1))
-    if (sum(e * (len(p) - 1) for e, p in parts.items()) != n
-            or sum(len(p) - 1 for p in parts.values()) != k):
-        raise RuntimeError("characteristic polynomial does not match "
-                           "the center")
-    return {"center_dim": k, "radical_dim": 0,
-            "blocks": sorted(blocks, reverse=True)}
+    for s in range(isqrt(n), 0, -1):
+        diff = [vec_iadd(dict(a), z, Fraction(-s * s))
+                for a, z in zip(form_a, form_z)]
+        blocks += [s] * len(nullspace(diff))
+    if len(blocks) != k or sum(s * s for s in blocks) != n:
+        raise RuntimeError("block sizes do not match the center")
+    return {"center_dim": k, "radical_dim": 0, "blocks": blocks}

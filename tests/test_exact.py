@@ -5,9 +5,8 @@ from math import comb
 
 from hypothesis import given, strategies as st
 
-from vosa.exact import (Echelon, charpoly_from_power_sums, gen_binomial,
-                        nullspace, span_coordinates,
-                        squarefree_decomposition, vec_iadd)
+from vosa.exact import (Echelon, gen_binomial, nullspace, span_coordinates,
+                        vec_iadd)
 
 from oracles import binomial_oracle, matrix_rank_oracle
 
@@ -135,49 +134,3 @@ def test_span_coordinates_roundtrip():
 def test_span_coordinates_detects_outside_vector():
     basis = _rows_to_dicts([[1, 0, 1]])
     assert span_coordinates(basis, [{0: Fraction(1)}]) == [None]
-
-
-# ----------------------------------------------------------- polynomials
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_prod(factors):
-    out = [Fraction(1)]
-    for f in factors:
-        out = _poly_mul(out, f)
-    return out
-
-
-ROOT_MULTS = st.dictionaries(st.integers(-6, 6), st.integers(1, 4),
-                             min_size=1, max_size=4)
-
-
-@given(ROOT_MULTS, st.booleans())
-def test_squarefree_decomposition_recovers_multiplicities(mults, quad):
-    # linear factors with chosen multiplicities, optionally times the
-    # irreducible x^2 + 1 squared
-    factors = {}
-    for r, e in mults.items():
-        factors.setdefault(e, []).append([Fraction(-r), Fraction(1)])
-    if quad:
-        factors.setdefault(2, []).append([Fraction(1), Fraction(0),
-                                          Fraction(1)])
-    f = _poly_prod(p for e, ps in factors.items() for p in ps * e)
-    parts = squarefree_decomposition(f)
-    assert parts == {e: _poly_prod(ps) for e, ps in factors.items()}
-    assert _poly_prod(p for e, p in parts.items() for _ in range(e)) == f
-
-
-@given(st.lists(st.integers(-5, 5), min_size=1, max_size=6))
-def test_charpoly_from_power_sums(eigenvalues):
-    n = len(eigenvalues)
-    sums = [sum(Fraction(x) ** k for x in eigenvalues)
-            for k in range(1, n + 1)]
-    assert charpoly_from_power_sums(sums) == _poly_prod(
-        [Fraction(-x), Fraction(1)] for x in eigenvalues)
-

@@ -4,6 +4,7 @@ Every top-level function and class in src/vosa, and every method that
 is not a dunder, must be named (as a name or an attribute) somewhere in
 src/vosa or perfbench; a method that overrides a base-class method
 counts as used.  Checks that only tests call live in tests/oracles.py.
+Every module-level import must be named in the module that makes it.
 """
 
 import ast
@@ -36,4 +37,21 @@ def test_every_definition_is_used_outside_tests():
                            if isinstance(f, FUNCS) and f.name not in used
                            and not f.name.startswith("__")
                            and not any(hasattr(b, f.name) for b in bases)]
+    assert unused == []
+
+
+def test_every_import_is_named_by_its_module():
+    unused = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.stem}: {bound}" for alias in node.names
+                           if (bound := (alias.asname
+                                         or alias.name.split(".")[0]))
+                           not in named]
     assert unused == []

@@ -6,13 +6,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import reduction_family
+from oracles import TWISTS, reduction_family
 from vosa.exact import vec_iadd
 from vosa.fields import Virasoro
 from vosa.fock import ns_polarized
 from vosa.modules import certified_zhu, twisted_module
 from vosa.zhu import (TwistContext, ZhuAlgebra, block_profile, center_basis,
-                     ctx_identity, ctx_sigma, ctx_tau, separating_element,
+                     ctx_identity, ctx_sigma, ctx_tau,
                      trace_form_radical_dim)
 
 H = Fraction(1, 2)
@@ -274,34 +274,65 @@ def test_derived_product_matches_plain_product(case, data):
     assert derived == plain
 
 
-def test_separating_element_beyond_pairwise_mixes():
-    # Q^3 with componentwise product; every single basis vector and every
-    # mix zc[i] + 2 zc[j] of this center basis has a repeated eigenvalue
-    left = [[{i: ONE} if j == i else {} for j in range(3)]
-            for i in range(3)]
-    unit = {0: ONE, 1: ONE, 2: ONE}
-    zc = [{0: Fraction(2), 1: Fraction(2), 2: Fraction(2)},
-          {0: -ONE, 1: ONE, 2: -ONE},
-          {0: Fraction(2), 1: ONE, 2: ONE}]
-    lz, minpoly = separating_element(left, zc, unit)
-    assert len(minpoly) == 4
-    # z(1) = (3, 4, 2): the minimal polynomial is (x-3)(x-4)(x-2)
-    assert minpoly == [-24, 26, -9, 1]
+# ------------------------------------------- stub algebras by construction
+# An algebra is given by its left multiplications: left[a][b] holds the
+# coordinates of e_a e_b.  Every block profile below is known by
+# construction.
+
+def _matrices(n, upper=False):
+    """The n x n matrices E_ab with a <= b (upper triangular) or all of
+    them, multiplied by E_ab E_cd = delta_bc E_ad."""
+    pairs = [(a, b) for a in range(n) for b in range(n) if a <= b or not upper]
+    idx = {p: i for i, p in enumerate(pairs)}
+    return [[{idx[(a, d)]: ONE} if b == c else {} for c, d in pairs]
+            for a, b in pairs]
 
 
-class _MatrixAlgebra:
-    """Stand-in algebra: the n x n matrices E_ab with a <= b (upper
-    triangular) or all of them, multiplied by E_ab E_cd = delta_bc E_ad,
-    with every basis element taken as a generator."""
+def _quadratic_field(d):
+    """Q(sqrt d) on the basis 1, r with r^2 = d."""
+    return [[{0: ONE}, {1: ONE}], [{1: ONE}, {0: Fraction(d)}]]
 
-    def __init__(self, n, upper):
-        self.pairs = [(a, b) for a in range(n) for b in range(n)
-                      if a <= b or not upper]
-        self.dim = len(self.pairs)
-        idx = {p: i for i, p in enumerate(self.pairs)}
-        self._left = [[{idx[(a, d)]: ONE} if b == c else {}
-                       for c, d in self.pairs] for a, b in self.pairs]
-        self._unit = {idx[(a, a)]: ONE for a in range(n)}
+
+def _quaternions():
+    """The rational quaternions on 1, i, j, k."""
+    table = {(0, a): {a: ONE} for a in range(4)}
+    table.update({(a, 0): {a: ONE} for a in range(4)})
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        table[(a, a)] = {0: -ONE}
+        table[(a, b)] = {c: ONE}
+        table[(b, a)] = {c: -ONE}
+    return [[table[(a, b)] for b in range(4)] for a in range(4)]
+
+
+def _tensor(x, y):
+    """x (tensor) y on the basis e_a (tensor) f_b, numbered a * dim y + b."""
+    m = len(y)
+    return [[{p * m + q: u * v for p, u in x[a][c].items()
+              for q, v in y[b][d].items()}
+             for c in range(len(x)) for d in range(m)]
+            for a in range(len(x)) for b in range(m)]
+
+
+def _direct_sum(*parts):
+    n = sum(map(len, parts))
+    left, off = [], 0
+    for part in parts:
+        for row in part:
+            cols = [{} for _ in range(n)]
+            for b, col in enumerate(row):
+                cols[off + b] = {off + t: c for t, c in col.items()}
+            left.append(cols)
+        off += len(part)
+    return left
+
+
+class _Algebra:
+    """Stand-in algebra from its left multiplications, with every basis
+    element taken as a generator."""
+
+    def __init__(self, left):
+        self._left = left
+        self.dim = len(left)
 
     def left_multiplications(self):
         return self._left
@@ -311,15 +342,53 @@ class _MatrixAlgebra:
         right = {g: [self._left[j][g] for j in gens] for g in gens}
         return gens, dict(enumerate(self._left)), right
 
-    def unit_coords(self):
-        return self._unit
+
+_Q = [[{0: ONE}]]
 
 
-@pytest.mark.parametrize("n,upper,expect", [
-    (2, True, {"center_dim": 1, "radical_dim": 1, "blocks": None}),
-    (8, True, {"center_dim": 1, "radical_dim": 28, "blocks": None}),
-    (2, False, {"center_dim": 1, "radical_dim": 0, "blocks": [2]})])
-def test_block_profile_reads_no_blocks_off_a_radical(n, upper, expect):
-    # multiplicity e = s^2 is a block of size s only for a semisimple
-    # algebra; upper-triangular matrices are 1 x 1 blocks mod a radical
-    assert block_profile(_MatrixAlgebra(n, upper)) == expect
+# the ids of the matrix cases are those they were first written with
+@pytest.mark.parametrize("left,expect", [
+    pytest.param(_matrices(2, upper=True),
+                 {"center_dim": 1, "radical_dim": 1, "blocks": None},
+                 id="2-True-expect0"),
+    pytest.param(_matrices(8, upper=True),
+                 {"center_dim": 1, "radical_dim": 28, "blocks": None},
+                 id="8-True-expect1"),
+    pytest.param(_matrices(2),
+                 {"center_dim": 1, "radical_dim": 0, "blocks": [2]},
+                 id="2-False-expect2"),
+    # centers that do not split over Q: the central idempotents of the
+    # blocks are irrational, the block counts are not
+    pytest.param(_quadratic_field(2),
+                 {"center_dim": 2, "radical_dim": 0, "blocks": [1, 1]},
+                 id="Q(sqrt2)"),
+    pytest.param(_quaternions(),
+                 {"center_dim": 1, "radical_dim": 0, "blocks": [2]},
+                 id="quaternions"),
+    pytest.param(_direct_sum(_matrices(3), _Q),
+                 {"center_dim": 2, "radical_dim": 0, "blocks": [3, 1]},
+                 id="M3+Q"),
+    pytest.param(_direct_sum(_tensor(_matrices(2), _quadratic_field(3)),
+                             _matrices(3)),
+                 {"center_dim": 3, "radical_dim": 0, "blocks": [3, 2, 2]},
+                 id="M2(Q(sqrt3))+M3"),
+    # every vector of the center basis of Q^3 has a repeated eigenvalue
+    pytest.param(_direct_sum(_Q, _Q, _Q),
+                 {"center_dim": 3, "radical_dim": 0, "blocks": [1, 1, 1]},
+                 id="Q^3")])
+def test_block_profile_reads_no_blocks_off_a_radical(left, expect):
+    # blocks are read off only for a semisimple algebra; upper-triangular
+    # matrices are 1 x 1 blocks mod a radical
+    assert block_profile(_Algebra(left)) == expect
+
+
+@pytest.mark.parametrize("name", list(TWISTS))
+def test_block_profile_is_the_clifford_count(name):
+    # A_g(V) is the Clifford algebra of the k zero modes: one block of
+    # size 2^(k/2) for even k, two of size 2^((k-1)/2) for odd k
+    ctx = TWISTS[name]()
+    k = sum(1 for s in ctx.support.values() if s == 0)
+    prof = block_profile(ZhuAlgebra(ctx, Fraction(2)))
+    assert prof["radical_dim"] == 0
+    assert prof["center_dim"] == 1 + k % 2
+    assert prof["blocks"] == [2 ** (k // 2)] * (1 + k % 2)
