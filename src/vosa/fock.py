@@ -3,9 +3,10 @@
 A monomial is a tuple of (mode, generator_id) factors sorted strictly
 ascending; the empty tuple is the vacuum.  States are sparse dicts
 mapping monomials to Fractions.  A Sector fixes the generator set, the
-bilinear pairing, the coset of allowed modes per generator and the
-zero-mode behaviour, and provides the elementary creation/annihilation
-action every higher operation is built from.
+bilinear pairing and the coset of allowed modes per generator, and
+provides the elementary creation/annihilation action every higher
+operation is built from.  Its monomials hold no zero mode: a twisted
+module's zero modes act on a ground space (modules.InducedSpace).
 """
 
 from __future__ import annotations
@@ -13,16 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .exact import vec_iadd
-
 Monomial = tuple
 State = dict
-
-# zero-mode policies
-NO_ZERO = "none"
-ZERO_ANNIHILATE = "annihilate"
-ZERO_CREATE = "create"
-ZERO_SPLIT = "split"
 
 
 def normalize(factors: Iterable[tuple]):
@@ -69,20 +62,16 @@ class Sector:
     """Generator/mode data for one fermionic Fock space.
 
     pairing is a symmetric dict {(i, j): Fraction}; support maps each
-    generator to the fractional part of its allowed mode indices; zero_mode
-    assigns each generator with integer support one of the zero-mode
-    policies.  The policies encode which half of the normal ordering the
-    zero mode belongs to: 'create'/'annihilate' put it entirely on one
-    side, 'split' acts as multiplication plus (e,e)/2 times the derivation
-    so the Clifford square comes out right.  algebra is the Fock space
-    of the vertex algebra whose module this is (the space itself by
-    default); the twist corrections of the mode recursion act through
-    its generator states.  _mode_cache memoizes that recursion on this
+    generator to the fractional part of its allowed mode indices.  Modes
+    below zero create and positive modes contract; no monomial holds a
+    zero mode.  algebra is the Fock space of the vertex algebra whose
+    module this is, the space itself here (modules.InducedSpace sets
+    it); the twist corrections of the mode recursion act through its
+    generator states.  _mode_cache memoizes that recursion on this
     space.
     """
 
-    def __init__(self, labels, pairing, support, zero_mode=None,
-                 algebra=None):
+    def __init__(self, labels, pairing, support):
         self.labels = list(labels)
         self.gids = list(range(len(self.labels)))
         self.pairing = {}
@@ -92,19 +81,8 @@ class Sector:
                 self.pairing[(i, j)] = c
                 self.pairing[(j, i)] = c
         self.support = {g: Fraction(support[g]) % 1 for g in self.gids}
-        self.zero_mode = dict(zero_mode or {})
-        for g in self.gids:
-            self.zero_mode.setdefault(
-                g, NO_ZERO if self.support[g] else ZERO_ANNIHILATE
-            )
-        self.algebra = algebra if algebra is not None else self
+        self.algebra = self
         self._mode_cache: dict = {}
-        self._check()
-
-    def _check(self):
-        for g in self.gids:
-            if self.support[g] != 0 and self.zero_mode[g] != NO_ZERO:
-                raise ValueError("zero-mode policy on fractional support")
         for g in self.gids:
             if not any((g, h) in self.pairing for h in self.gids):
                 raise ValueError(f"degenerate pairing at generator {g}")
@@ -114,13 +92,6 @@ class Sector:
 
     def partners(self, g: int):
         return [(h, c) for (i, h), c in self.pairing.items() if i == g]
-
-    def is_creation(self, gid: int, mode: Fraction) -> bool:
-        if mode < 0:
-            return True
-        if mode == 0:
-            return self.zero_mode[gid] in (ZERO_CREATE, ZERO_SPLIT)
-        return False
 
     def charge(self, gid: int) -> Fraction:
         """Fractional twist charge of a generator, in [0, 1).
@@ -132,15 +103,12 @@ class Sector:
         return (self.support[gid] + Fraction(1, 2)) % 1
 
     def creation_modes(self, gid: int, lo: Fraction):
-        """Basis-building modes q with lo <= q: those whose operator has a
-        multiplication part, descending from the largest."""
+        """Basis-building modes q with lo <= q: the negative modes,
+        descending from the largest."""
         off = self.support[gid]
-        if off:
-            q = off - 1  # in (-1, 0)
-        else:
-            # plain ints on the integer lattice: they hash and compare
-            # much faster than Fractions inside monomials
-            q = 0 if self.zero_mode[gid] in (ZERO_CREATE, ZERO_SPLIT) else -1
+        # plain ints on the integer lattice: they hash and compare much
+        # faster than Fractions inside monomials
+        q = off - 1 if off else -1
         out = []
         while q >= lo:
             out.append(q)
@@ -181,28 +149,17 @@ class Sector:
     def apply_gen(self, gid: int, mode: Fraction, mono: Monomial) -> State:
         """Action of generator mode gid(mode) on one monomial.
 
-        Creation modes multiply on the left (then normalize); annihilation
-        modes act as the pairing-weighted super-derivation.  A split zero
-        mode does both, with the derivation halved.
+        Negative modes multiply on the left (then normalize); the others
+        act as the pairing-weighted super-derivation.  A mode outside the
+        generator's coset raises ValueError.
         """
         if (mode - self.support[gid]) % 1 != 0:
             raise ValueError(
                 f"mode {mode} outside support of {self.labels[gid]}"
             )
-        if not self.is_creation(gid, mode):
-            return self._contract(gid, mode, mono)
-        out = self._create(gid, mode, mono)
-        if mode == 0 and self.zero_mode[gid] == ZERO_SPLIT:
-            vec_iadd(out, self._contract(gid, mode, mono), Fraction(1, 2))
-        return out
-
-    def _create(self, gid: int, mode, mono: Monomial) -> State:
-        """Multiplication by the factor (mode, gid) on the left."""
-        m, s = normalize(((mode, gid),) + mono)
-        return {m: Fraction(s)} if s else {}
-
-    def _contract(self, gid: int, mode, mono: Monomial) -> State:
-        """Pairing-weighted super-derivation removing factors of mode -mode."""
+        if mode < 0:
+            m, s = normalize(((mode, gid),) + mono)
+            return {m: Fraction(s)} if s else {}
         out: State = {}
         sign = 1
         for i, (mu, h) in enumerate(mono):
@@ -239,12 +196,15 @@ class Sector:
         out.sort()
         return out
 
-    def basis(self, max_weight) -> list[Monomial]:
-        """All monomials of weight <= max_weight in graded-lex order."""
-        return [mono for _, mono in self._weighed_basis(max_weight)]
+    def basis(self, max_weight) -> list:
+        """All basis elements of degree <= max_weight, by degree and in
+        basis_by_degree order within one: graded-lex on monomials."""
+        by = self.basis_by_degree(max_weight)
+        return [el for d in sorted(by) for el in by[d]]
 
     def basis_by_degree(self, max_weight) -> dict:
-        """The basis grouped by degree, in basis order within a group."""
+        """The monomials of weight <= max_weight grouped by weight, in
+        lexicographic order within a group."""
         by: dict = {}
         for w, mono in self._weighed_basis(max_weight):
             by.setdefault(w, []).append(mono)
@@ -262,7 +222,6 @@ class Sector:
                 [i, j, str(c)] for (i, j), c in self.pairing.items() if i <= j
             ),
             "support": [str(self.support[g]) for g in self.gids],
-            "zero_mode": [self.zero_mode[g] for g in self.gids],
         }
 
 

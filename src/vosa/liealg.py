@@ -54,7 +54,7 @@ def act(space, sym: dict, w: State) -> State:
     return out
 
 
-def zero_mode_symbol(st: State) -> dict:
+def degree_zero_symbol(st: State) -> dict:
     """o(a) = a(wt a - 1), the degree-preserving symbol of a state."""
     return symbol(st, state_weight(st) - 1)
 
@@ -104,7 +104,7 @@ def verify_hom_to_zhu(alg) -> dict:
         for j in range(alg.dim):
             a = _mono_state(alg.basis[i])
             b = _mono_state(alg.basis[j])
-            br = bracket(sector, zero_mode_symbol(a), zero_mode_symbol(b))
+            br = bracket(sector, degree_zero_symbol(a), degree_zero_symbol(b))
             # each bracket term c(q) has q = wt c - 1, so it is o(c);
             # collect the underlying states and reduce
             st: State = {}

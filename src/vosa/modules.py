@@ -1,9 +1,11 @@
-"""Concrete twisted modules, lowest-weight spaces and module functors.
+"""Twisted modules, lowest-weight spaces and module functors.
 
-Builds the Fock-type twisted modules attached to a twist context, the
-lowest-weight subspace Omega(M), the zero-mode representation of the Zhu
-algebra on Omega(M), and a truncated Verma-type induction from a
-Zhu-algebra module back to a twisted module.
+Every twisted module here is an InducedSpace: a truncated Verma-type
+module over a ground space on which the integer-support zero modes act
+by matrices.  twisted_module induces from the Clifford module of those
+zero modes, the canonical g-twisted module; induce_truncated induces
+from a Zhu-algebra module.  Also here: the lowest-weight subspace
+Omega(M) and the zero-mode representation of the Zhu algebra on it.
 
 Omega(M) is an A_g(V)-module by the zero modes (fields.o_action).  Its
 matrices come from omega_umats alone: zhu_rank (the certification lower
@@ -26,43 +28,44 @@ from fractions import Fraction
 
 from .exact import (Echelon, mat_apply, mat_lincomb, nullspace,
                     span_coordinates, vec_iadd)
-from .fock import (
-    Sector,
-    State,
-    ZERO_ANNIHILATE,
-    ZERO_CREATE,
-    ZERO_SPLIT,
-    parity,
-    weight,
-)
+from .fock import Sector, State, parity, weight
 from .fields import HALF, Virasoro, o_action
 from .zhu import TwistContext, ZhuAlgebra, _mono_state
 
 
-def _zero_mode_policies(ctx: TwistContext) -> dict:
-    """Assign zero-mode behaviour on the twisted module per generator:
-    self-paired generators split their zero mode (Clifford square 1),
-    dual pairs get one annihilating and one creating member."""
-    sector = ctx.sector
-    policies = {}
-    for g in sector.gids:
-        if ctx.support[g] != 0:
-            continue
-        if sector.pair(g, g):
-            policies[g] = ZERO_SPLIT
-        else:
-            partner = next(h for h, _ in sector.partners(g) if h != g)
-            policies[g] = ZERO_ANNIHILATE if g < partner else ZERO_CREATE
-    return policies
+def twisted_module(ctx: TwistContext) -> InducedSpace:
+    """The canonical g-twisted module, induced from the Clifford module
+    of the integer-support zero modes.
 
-
-def twisted_module(ctx: TwistContext) -> Sector:
-    """The canonical Fock-type g-twisted module of the context."""
+    The ground is the exterior algebra on the creators: the higher id of
+    each integer-support dual pair and every self-paired integer-support
+    generator.  Ground index j has bit b set when the b-th creator, in
+    ascending order, is a factor.  A creator's zero mode multiplies on
+    the left, and Z_g contracts the creator c by (g, c), halved for g =
+    c, so Z_g Z_h + Z_h Z_g = (g, h).
+    """
     sector = ctx.sector
-    if all(s == HALF for s in ctx.support.values()):
-        return sector  # untwisted: the algebra is its own module
-    return Sector(sector.labels, sector.pairing, ctx.support,
-                  zero_mode=_zero_mode_policies(ctx), algebra=sector)
+    zero = [g for g in sector.gids if ctx.support[g] == 0]
+    creators = [g for g in zero if sector.pair(g, g)
+                or any(h < g for h, _ in sector.partners(g))]
+    udim = 1 << len(creators)
+    zmats = {}
+    for g in zero:
+        cols = []
+        for j in range(udim):
+            col = {}
+            for b, c in enumerate(creators):
+                # Z_g passes the creators below c
+                sign = -1 if (j & ((1 << b) - 1)).bit_count() & 1 else 1
+                if j >> b & 1:
+                    w = sector.pair(g, c) / (2 if g == c else 1)
+                    if w:
+                        col[j ^ 1 << b] = sign * w
+                elif g == c:
+                    col[j | 1 << b] = Fraction(sign)
+            cols.append(col)
+        zmats[g] = cols
+    return InducedSpace(ctx, zmats, udim)
 
 
 class OmegaSpace:
@@ -209,35 +212,25 @@ def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1)) -> dict:
 
 
 class InducedSpace(Sector):
-    """Truncated Verma-type module over a certified Zhu algebra module.
+    """Truncated Verma-type module over a ground module of the zero modes.
 
-    Basis elements are (symbol-monomial, j): an exterior monomial in the
-    strictly-raising generator symbols applied to the j-th basis vector
-    of U.  umats[i][y] is the sparse column of coordinates of basis[i]
-    of the Zhu algebra acting on the y-th basis vector of U, as
-    ZhuAlgebra.left_multiplications and omega_umats return it.  Zero modes anticommute
-    through the symbols and act on U by these matrices (column j for the
-    j-th vector); lowering modes contract against symbols by
-    the Clifford pairing and annihilate U.  The mode recursion then
-    gives the action of every state; the quotient relations hold because
-    the zero modes already satisfy the quotient algebra's multiplication.
-    The raising symbols are the Sector's creation modes under the default
-    zero-mode policy, which puts every zero mode on the annihilation side.
+    Basis elements are (mono, j): a Fock monomial in the negative
+    generator modes, which hold no zero mode, applied to the j-th of the
+    udim ground vectors.  zmats[g][j] is the sparse column of Z_g applied
+    to ground vector j, for every generator g of integer support; the
+    zero modes anticommute through the monomial and act on the ground
+    by these columns.  Positive modes contract against the monomial by
+    the Clifford pairing and annihilate the ground.  The mode recursion
+    then gives the action of every state; the algebra's own Fock space
+    supplies the products of its twist corrections.
     """
 
-    def __init__(self, alg: ZhuAlgebra, umats: list, udim: int, max_degree):
-        ctx = alg.ctx
+    def __init__(self, ctx: TwistContext, zmats: dict, udim: int):
         sector = ctx.sector
-        super().__init__(sector.labels, sector.pairing, ctx.support,
-                         algebra=sector)
-        self.alg = alg
+        super().__init__(sector.labels, sector.pairing, ctx.support)
+        self.algebra = sector
         self.udim = udim
-        self.max_degree = Fraction(max_degree)
-        # matrix of each generator's class, for the zero-mode action
-        self._zmat = {
-            g: mat_lincomb(umats, alg.reduce({((-HALF, g),): Fraction(1)}),
-                           udim)
-            for g in self.gids if self.support[g] == 0}
+        self._zmat = zmats
 
     def degree(self, el):
         return weight(el[0])
@@ -247,17 +240,12 @@ class InducedSpace(Sector):
 
     def apply_gen(self, gid, q, el) -> State:
         mono, j = el
-        if q == 0:
+        if q == 0 and gid in self._zmat:
             sign = -1 if parity(mono) else 1
             return {(mono, x): sign * c
                     for x, c in self._zmat[gid][j].items()}
-        part = (self._create(gid, q, mono) if q < 0
-                else self._contract(gid, q, mono))
-        return {(m, j): c for m, c in part.items()}
-
-    def basis(self, max_degree) -> list:
-        return [(m, j) for m in super().basis(max_degree)
-                for j in range(self.udim)]
+        return {(m, j): c
+                for m, c in super().apply_gen(gid, q, mono).items()}
 
     def basis_by_degree(self, max_degree) -> dict:
         return {d: [(m, j) for m in monos for j in range(self.udim)]
@@ -293,7 +281,12 @@ def induce_truncated(alg: ZhuAlgebra, umats: list, udim: int,
     if udim == 0:
         return {"space": None, "graded_dims": {}, "omega_dim": 0,
                 "omega_is_seed": True}
-    space = InducedSpace(alg, umats, udim, max_degree)
+    ctx = alg.ctx
+    # the matrix of each zero mode is that of its generator's class
+    zmats = {g: mat_lincomb(umats, alg.reduce({((-HALF, g),): Fraction(1)}),
+                            udim)
+             for g in ctx.sector.gids if ctx.support[g] == 0}
+    space = InducedSpace(ctx, zmats, udim)
     om = OmegaSpace(space, max_degree)
     return {
         "space": space,

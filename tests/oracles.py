@@ -31,13 +31,14 @@ Contragredient test the engine against the vertex-algebra axioms.
 
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 from vosa.exact import (Echelon, gen_binomial, nullspace, span_coordinates,
                         vec_iadd)
 from vosa.fields import (HALF, Virasoro, commutator_defect, mode, o_action,
                          residue_terms, state_parity, twist_correction)
-from vosa.fock import (Sector, State, ZERO_SPLIT, graded_key, normalize,
-                       ns_polarized, parity, state_weight, weight)
+from vosa.fock import (Sector, State, graded_key, ns_polarized, parity,
+                       state_weight, weight)
 from vosa.modules import OmegaSpace
 from vosa.zhu import (TwistContext, ZhuAlgebra, ctx_identity, ctx_sigma,
                       ctx_tau, o_relations)
@@ -92,9 +93,9 @@ def graded_dim_oracle(l: int, offsets, max_weight: Fraction) -> dict:
 
     offsets[i] is the positive weight of the lightest creation mode of
     family i; heavier modes step by 1.  Computed by brute polynomial
-    multiplication over a common denominator grid.
+    multiplication on the grid of the offsets' common denominator.
     """
-    denom = 2
+    denom = lcm(*(Fraction(w).denominator for w in offsets))
     top = int(max_weight * denom)
     poly = [0] * (top + 1)
     poly[0] = 1
@@ -450,61 +451,79 @@ def verify_o_kernel(space, a: State, targets) -> dict:
     return {"ok": True, "checked": len(targets)}
 
 
-class ParitySubmodule:
-    """One of the two halves cut out by a split zero mode e(0).
+def _degree_of(space, st: State):
+    """Degree of a homogeneous state of a space, or None for 0 or a
+    non-homogeneous one."""
+    ds = {space.degree(el) for el in st}
+    return ds.pop() if len(ds) == 1 else None
 
-    The basis consists of (1 + s e(0)) y for even-length y and
-    (1 - s e(0)) y for odd-length y, with y running over the monomials
-    free of the zero-mode symbol; s is +1 or -1.  Invariance under all
-    modes is checked computationally, never assumed.
+
+class ParitySubmodule:
+    """One of the two halves cut out by a self-paired zero mode e(0).
+
+    The basis consists of (1 + s e(0)) y for even y and (1 - s e(0)) y
+    for odd y, with y = (mono, j) running over the basis elements whose
+    ground vector j is free of the factor e(0); y has the parity of
+    len(mono) plus the number of set bits in j, and s is +1 or -1.
+    Invariance under all modes is checked computationally, never
+    assumed.
     """
 
-    def __init__(self, space: Sector, egid: int, sign: int, max_degree):
-        if space.zero_mode.get(egid) != ZERO_SPLIT:
-            raise ValueError("submodule requires a split zero mode")
+    def __init__(self, space, egid: int, sign: int, max_degree):
+        if not space.pair(egid, egid):
+            raise ValueError("submodule requires a self-paired zero mode")
+        # e(0) on the ground vacuum is the ground vector of e(0) alone;
+        # apply_gen raises unless e has integer support
+        ((_, self.ebit),) = space.apply_gen(egid, Fraction(0), ((), 0))
         self.space = space
         self.egid = egid
         self.sign = sign
         self.max_degree = Fraction(max_degree)
         self.basis: list[State] = []
-        for m in space.basis(self.max_degree):
-            if (Fraction(0), egid) in m:
+        for el in space.basis(self.max_degree):
+            if el[1] & self.ebit:
                 continue
-            s = sign if parity(m) == 0 else -sign
-            vec = {m: Fraction(1)}
-            em, es = normalize(((Fraction(0), egid),) + m)
-            if es:
-                vec[em] = Fraction(s * es)
+            vec = {el: Fraction(1)}
+            vec_iadd(vec, space.apply_gen(egid, Fraction(0), el),
+                     Fraction(self._sign(el)))
             self.basis.append(vec)
+
+    def _sign(self, el) -> int:
+        """s on even basis elements, -s on odd ones."""
+        mono, j = el
+        odd = (len(mono) + j.bit_count()) & 1
+        return -self.sign if odd else self.sign
 
     def graded_dims(self) -> dict:
         dims: dict = {}
         for v in self.basis:
-            w = state_weight(v)
+            w = _degree_of(self.space, v)
             dims[w] = dims.get(w, 0) + 1
         return dims
 
     def contains(self, st: State) -> bool:
-        deg = {weight(m) for m in st}
-        cand = [v for v in self.basis if state_weight(v) in deg]
+        deg = {self.space.degree(el) for el in st}
+        cand = [v for v in self.basis
+                if _degree_of(self.space, v) in deg]
         return span_coordinates(cand, [st])[0] is not None
 
     def check_invariance(self) -> bool:
         """Every generator mode keeps the subspace inside itself, tested
         on the basis vectors of weight <= 1."""
         for v in self.basis:
-            if state_weight(v) > 1:
+            if _degree_of(self.space, v) > 1:
                 continue
             for g in self.space.gids:
                 qs = list(self.space.left_modes(g, -1)) + \
-                    lowering_mode_labels(self.space, g, state_weight(v))
+                    lowering_mode_labels(self.space, g,
+                                         _degree_of(self.space, v))
                 for q in qs:
                     img: State = {}
                     for m, c in v.items():
                         vec_iadd(img, self.space.apply_gen(g, q, m), c)
                     if not img:
                         continue
-                    if state_weight(img) > self.max_degree:
+                    if _degree_of(self.space, img) > self.max_degree:
                         continue
                     if not self.contains(img):
                         return False
@@ -518,11 +537,10 @@ class ParitySubmodule:
             # project the ambient kernel onto this half; the parity rule
             # makes the projector sign length-dependent
             proj: State = {}
-            for m, c in v.items():
-                s = self.sign if parity(m) == 0 else -self.sign
-                vec_iadd(proj, {m: c * HALF})
-                em = self.space.apply_gen(self.egid, Fraction(0), m)
-                vec_iadd(proj, em, c * s * HALF)
+            for el, c in v.items():
+                vec_iadd(proj, {el: c * HALF})
+                vec_iadd(proj, self.space.apply_gen(self.egid, Fraction(0), el),
+                         c * self._sign(el) * HALF)
             if proj and self.contains(proj):
                 out.append(proj)
         ech = Echelon()
@@ -546,6 +564,7 @@ class Contragredient:
         self.max_degree = Fraction(max_degree)
         self.vir = Virasoro(space.algebra)
         self.by_degree = space.basis_by_degree(self.max_degree)
+        self._keys = {el for els in self.by_degree.values() for el in els}
 
     def graded_dims(self) -> dict:
         return {d: len(ms) for d, ms in self.by_degree.items()}
@@ -559,6 +578,9 @@ class Contragredient:
 
     def rmode(self, a: State, n, f: dict) -> dict:
         """Phase-normalized action of the dual mode a'_n on a dual vector."""
+        off = [el for el in f if el not in self._keys]
+        if off:
+            raise KeyError(f"functional keyed off the basis: {off[0]}")
         n = Fraction(n)
         h = state_weight(a)
         par = state_parity(a)
@@ -573,7 +595,7 @@ class Contragredient:
             cur = mode(self.space.algebra, self.vir.omega, 2, cur)
             j += 1
             fact *= j
-        deg_f = {weight(m) for m in f}
+        deg_f = {self.space.degree(el) for el in f}
         out: dict = {}
         for d in deg_f:
             dm = d + h - n - 1

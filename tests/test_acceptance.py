@@ -121,7 +121,7 @@ def test_criterion_6_identity_suites():
     # trivial and with order-two untwisted grading)
     for ctx in (ctx_sigma(2), ctx_tau()):
         M = twisted_module(ctx)
-        w = {(): ONE}
+        w = {((), 0): ONE}
         pairs = [(gen(0), gen(1)), (gen(1), gen(0))]
         for a, u in pairs:
             k0 = min_assoc_exponent(M, a, w)

@@ -10,7 +10,7 @@ from vosa.fields import (Virasoro, mode, mode_mono, mode_offset, o_action,
                          twist_correction, verify_commutator,
                          verify_skew_symmetry, verify_translation)
 from vosa.zhu import ctx_sigma, ctx_tau
-from vosa.modules import (InducedSpace, certified_zhu, omega_umats,
+from vosa.modules import (certified_zhu, induce_truncated, omega_umats,
                           twisted_module)
 
 from oracles import (LADDER, LEFT_POSITIVE, TWISTS, min_assoc_exponent,
@@ -27,6 +27,11 @@ def gen(g):
 
 def vac():
     return {(): ONE}
+
+
+def ground():
+    """The ground vacuum of a twisted module: no factor, ground vector 0."""
+    return {((), 0): ONE}
 
 
 # ---------------------------------------------------------------- oracles
@@ -82,7 +87,7 @@ def test_twisted_ground_conformal_weight(l, ground):
     ctx = ctx_sigma(l)
     M = twisted_module(ctx)
     vir = Virasoro(ctx.sector)
-    assert vir.L(M, 0, vac()) == {(): ground}
+    assert vir.L(M, 0, {((), 0): ONE}) == {((), 0): ground}
 
 
 def test_twist_correction_leading_value():
@@ -99,8 +104,8 @@ def test_quadratic_field_half_pairing_correction():
     ctx = ctx_sigma(2)
     M = twisted_module(ctx)
     bB = mode(ctx.sector, gen(0), -1, gen(1))
-    out = mode(M, bB, 0, vac(), check_index=False)
-    assert out == {(): H}
+    out = mode(M, bB, 0, ground(), check_index=False)
+    assert out == {((), 0): H}
 
 
 def test_mode_grading_bound():
@@ -117,9 +122,9 @@ def test_mode_offset_coset_enforced():
     # generator modes on the twisted module sit at half-integers
     assert mode_offset(M, ((-H, 0),)) == H
     with pytest.raises(ValueError):
-        mode(M, gen(0), 0, vac())
+        mode(M, gen(0), 0, ground())
     # the creating partner acts nontrivially at an on-coset index
-    assert mode(M, gen(1), -H, vac()) != {}
+    assert mode(M, gen(1), -H, ground()) != {}
 
 
 def _space_of_kind(ctx, kind):
@@ -129,11 +134,11 @@ def _space_of_kind(ctx, kind):
         return twisted_module(ctx)
     rep = certified_zhu(ctx, Fraction(2))
     umats, udim = omega_umats(rep["algebra"], rep["omega"])
-    return InducedSpace(rep["algebra"], umats, udim, Fraction(2))
+    return induce_truncated(rep["algebra"], umats, udim, 0)["space"]
 
 
-# each algebra sector once (id and sigma share theirs, and the id module
-# is the algebra), every twisted module and every induced space
+# each algebra sector once (id and sigma share theirs), every twisted
+# module and every induced space
 CLOSED_FORM_CASES = (
     [(name, "algebra") for name in LADDER[:4] + ["tau"]]
     + [(name, "module") for name in LADDER[:4] + ["tau"] + LEFT_POSITIVE]
@@ -246,7 +251,7 @@ def test_associativity_exponent_lattice_order_two_by_one():
     M = twisted_module(ctx)
     sec = ctx.sector
     vir = Virasoro(sec)
-    w = vac()
+    w = ground()
     for a, u in [(gen(0), gen(1)), (gen(0), vir.omega),
                  (vir.omega, gen(1)), (vir.omega, vir.omega)]:
         k0 = min_assoc_exponent(M, a, w)
@@ -261,7 +266,7 @@ def test_associativity_exponent_lattice_order_two_by_two():
     # classes appear among the generator eigenvectors
     ctx = ctx_tau()
     M = twisted_module(ctx)
-    w = vac()
+    w = ground()
     u0 = gen(0)
     v0 = gen(1)
     seen = set()
@@ -277,7 +282,7 @@ def test_associativity_exponent_lattice_order_two_by_two():
 def test_associativity_on_excited_target():
     ctx = ctx_sigma(2)
     M = twisted_module(ctx)
-    w = {((Fraction(0), 1),): ONE}  # B(0) ground partner
+    w = {((), 1): ONE}  # B(0) on the ground vacuum
     a, u = gen(0), gen(1)
     k0 = min_assoc_exponent(M, a, w)
     for kappa in (k0, k0 + 1):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from vosa.fock import (Sector, ZERO_SPLIT, normalize, parity, graded_key,
-                       ns_polarized, state_weight, weight)
+from vosa.fock import (normalize, parity, graded_key, ns_polarized,
+                       state_weight, weight)
 
 from oracles import graded_dim_oracle, ns_orthonormal
 
@@ -80,18 +80,6 @@ def test_polarized_dims_agree_with_orthonormal(l):
             == ns_orthonormal(l).graded_dims(Fraction(5)))
 
 
-def test_twisted_module_dims_include_zero_modes():
-    # integer support with one creating zero mode per polarized pair
-    sec = ns_polarized(2)
-    mod = Sector(sec.labels, sec.pairing, {g: 0 for g in sec.gids},
-                 zero_mode={0: "annihilate", 1: "create"}, algebra=sec)
-    dims = mod.graded_dims(Fraction(3))
-    # exterior algebra on all modes <= -1 of both generators, doubled by
-    # the weight-0 creation mode
-    expect = graded_dim_oracle(2, [1, 1], Fraction(3))
-    assert dims == {k: 2 * v for k, v in expect.items()}
-
-
 def test_apply_gen_clifford_relation():
     sec = ns_orthonormal(2)
     vac = ()
@@ -108,19 +96,6 @@ def test_apply_gen_derivation_sign():
     # contracting the second factor passes one fermion: sign -1
     out = sec.apply_gen(0, HALF, m)
     assert out == {((-Fraction(3, 2), 0),): Fraction(-1)}
-
-
-def test_split_zero_mode_squares_to_one():
-    sec = ns_polarized(1)  # single self-paired generator e, (e, e) = 2
-    mod = Sector(sec.labels, sec.pairing, {0: 0},
-                 zero_mode={0: ZERO_SPLIT}, algebra=sec)
-    for m in mod.basis(Fraction(2)):
-        once = mod.apply_gen(0, Fraction(0), m)
-        twice: dict = {}
-        for m2, c in once.items():
-            for m3, c3 in mod.apply_gen(0, Fraction(0), m2).items():
-                twice[m3] = twice.get(m3, Fraction(0)) + c * c3
-        assert {k: v for k, v in twice.items() if v} == {m: Fraction(1)}
 
 
 def test_basis_sorted_by_graded_key():

@@ -4,7 +4,9 @@ Every top-level function and class in src/vosa, and every method that
 is not a dunder, must be named (as a name or an attribute) somewhere in
 src/vosa or perfbench; a method that overrides a base-class method
 counts as used.  Checks that only tests call live in tests/oracles.py.
-Every module-level import must be named in the module that makes it.
+Every module-level import must be named in the module that makes it,
+and every module-level assigned name must be read somewhere in src/vosa
+or perfbench, so a constant that lost its last reader goes too.
 """
 
 import ast
@@ -16,14 +18,22 @@ PACKAGE = sorted((ROOT / "src" / "vosa").glob("*.py"))
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def test_every_definition_is_used_outside_tests():
+def _named(load_only=False) -> set:
+    """Every name and attribute in src/vosa and perfbench; with
+    load_only, only the names that are read, not those assigned."""
     used = set()
     for path in PACKAGE + sorted((ROOT / "perfbench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not (
+                    load_only and isinstance(node.ctx, ast.Store)):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    return used
+
+
+def test_every_definition_is_used_outside_tests():
+    used = _named()
     unused = []
     for path in PACKAGE:
         module = importlib.import_module(f"vosa.{path.stem}")
@@ -55,3 +65,17 @@ def test_every_import_is_named_by_its_module():
                                          or alias.name.split(".")[0]))
                            not in named]
     assert unused == []
+
+
+def test_every_module_level_assignment_is_read():
+    read = _named(load_only=True)
+    unread = []
+    for path in PACKAGE:
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            unread += [f"{path.stem}: {n.id}" for t in targets
+                       for n in ast.walk(t)
+                       if isinstance(n, ast.Name) and n.id not in read]
+    assert unread == []

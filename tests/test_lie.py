@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vosa.fields import Virasoro, in_coset, verify_commutator
 from vosa.fock import weight
 from vosa.liealg import (act, bracket, symbol, verify_hom_to_zhu,
-                         verify_jacobi, zero_mode_symbol)
+                         verify_jacobi, degree_zero_symbol)
 from vosa.modules import twisted_module
 from vosa.zhu import ZhuAlgebra, ctx_sigma, ctx_tau
 
@@ -52,7 +52,7 @@ def degrees(sym: dict) -> set:
 def test_symbol_degree():
     assert degrees(symbol(gen(0), H)) == {-1}
     assert degrees(symbol(VIR.omega, 1)) == {0}
-    assert degrees(zero_mode_symbol(VIR.omega)) == {0}
+    assert degrees(degree_zero_symbol(VIR.omega)) == {0}
 
 
 def test_symbol_rejects_inhomogeneous():

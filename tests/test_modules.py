@@ -6,7 +6,6 @@ import pytest
 
 from vosa.exact import Echelon, vec_iadd
 from vosa.fields import Virasoro
-from vosa.fock import ZERO_ANNIHILATE, ZERO_CREATE, ZERO_SPLIT
 from vosa.modules import (InducedSpace, OmegaSpace, certified_zhu,
                           induce_truncated, o_action, omega_umats,
                           twisted_module, zhu_action_report, zhu_rank)
@@ -24,18 +23,82 @@ def gen(g):
     return {((-H, g),): ONE}
 
 
+def vac():
+    """The ground vacuum of a twisted module: no factor, ground vector 0."""
+    return {((), 0): ONE}
+
+
+def _integer_support(ctx):
+    return [g for g in ctx.sector.gids if ctx.support[g] == 0]
+
+
+def _ground_dim(ctx):
+    # 2^ceil(k/2) for k generators of integer support
+    return 2 ** -(-len(_integer_support(ctx)) // 2)
+
+
+def _oracle_dims(ctx, udim, depth):
+    # udim copies of an exterior algebra whose lightest raising symbol
+    # of a generator of support s has weight 1 - s, or 1 for s = 0
+    offsets = [1 - ctx.support[g] for g in ctx.sector.gids]
+    oracle = graded_dim_oracle(len(offsets), offsets, depth)
+    return {d: udim * n for d, n in oracle.items()}
+
+
 # ------------------------------------------------------------- modules
-def test_sigma_module_zero_mode_policies():
-    M = twisted_module(ctx_sigma(2))
-    assert M.zero_mode[0] == ZERO_ANNIHILATE
-    assert M.zero_mode[1] == ZERO_CREATE
-    M3 = twisted_module(ctx_sigma(3))
-    assert M3.zero_mode[2] == ZERO_SPLIT
+@pytest.mark.parametrize("name", sorted(TWISTS))
+def test_ground_zero_modes_satisfy_the_clifford_relation(name):
+    # Z_g Z_h + Z_h Z_g = (g, h) on the ground, for all integer-support
+    # g and h
+    ctx = TWISTS[name]()
+    M = twisted_module(ctx)
+    assert isinstance(M, InducedSpace) and M.algebra is ctx.sector
+    assert M.udim == _ground_dim(ctx)
+    assert M.graded_dims(0) == {0: M.udim}
+    zero = _integer_support(ctx)
+
+    def z(g, st):
+        out: dict = {}
+        for el, c in st.items():
+            vec_iadd(out, M.apply_gen(g, Fraction(0), el), c)
+        return out
+
+    for j in range(M.udim):
+        v = {((), j): ONE}
+        for g in zero:
+            for h in zero:
+                anti = z(g, z(h, v))
+                vec_iadd(anti, z(h, z(g, v)))
+                pairing = ctx.sector.pair(g, h)
+                assert anti == ({((), j): pairing} if pairing else {})
 
 
-def test_identity_module_is_the_algebra():
-    ctx = ctx_identity(2)
-    assert twisted_module(ctx) is ctx.sector
+@pytest.mark.parametrize("name", sorted(TWISTS))
+def test_twisted_module_graded_dims_match_oracle(name):
+    ctx = TWISTS[name]()
+    assert twisted_module(ctx).graded_dims(2) == _oracle_dims(
+        ctx, _ground_dim(ctx), 2)
+
+
+def test_graded_dim_oracle_uses_the_offsets_grid():
+    # offsets 2/3 and 1/3 live on thirds, not on the half-integer grid
+    assert graded_dim_oracle(2, [Fraction(2, 3), Fraction(1, 3)], 1) == {
+        0: 1, Fraction(1, 3): 1, Fraction(2, 3): 1, 1: 1}
+
+
+def test_apply_gen_rejects_off_coset_modes():
+    # a mode outside its generator's coset raises on the canonical
+    # module and on an induced one alike, zero modes included
+    ctx = ctx_tau()  # u on integer support, v on half-integer support
+    rep = certified_zhu(ctx, Fraction(2))
+    umats, udim = omega_umats(rep["algebra"], rep["omega"])
+    induced = induce_truncated(rep["algebra"], umats, udim, 0)["space"]
+    for space in (twisted_module(ctx), induced):
+        for gid, q in ((0, H), (0, -H), (1, Fraction(0)), (1, ONE)):
+            with pytest.raises(ValueError):
+                space.apply_gen(gid, q, ((), 0))
+        assert space.apply_gen(0, -ONE, ((), 0))
+        assert space.apply_gen(1, -H, ((), 0))
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -61,7 +124,7 @@ def test_omega_of_untwisted_space_is_vacuum():
     ctx = ctx_identity(2)
     om = OmegaSpace(twisted_module(ctx), Fraction(2))
     assert om.dim == 1
-    assert om.basis == [{(): ONE}]
+    assert om.basis == [vac()]
 
 
 def test_omega_rechecked_against_all_low_weight_states():
@@ -134,7 +197,8 @@ def test_omega_matches_joint_kernel_on_induced_modules(name, seed):
     alg = rep["algebra"]
     umats, udim = (omega_umats(alg, rep["omega"]) if seed == "omega"
                    else (alg.left_multiplications(), alg.dim))
-    _assert_omega_is_joint_kernel(InducedSpace(alg, umats, udim, 2), 2)
+    space = induce_truncated(alg, umats, udim, 0)["space"]
+    _assert_omega_is_joint_kernel(space, 2)
 
 
 def test_parity_omega_halves_span_the_joint_kernel():
@@ -230,6 +294,10 @@ def test_block_count_matches_simple_module_count():
 
 
 # --------------------------------------------------------- contragredient
+# b(-1) B(0) on the ground vacuum of the sigma2 module
+F1 = {(((-1, 0),), 1): ONE}
+
+
 def test_contragredient_graded_dims_match():
     ctx = ctx_sigma(2)
     M = twisted_module(ctx)
@@ -241,7 +309,7 @@ def test_contragredient_vacuum_pairing():
     # the vacuum's mode 1_{-1} is the identity, on the dual side too
     M = twisted_module(ctx_sigma(2))
     C = Contragredient(M, Fraction(2))
-    for f in ({(): ONE}, {((-Fraction(1), 0), (Fraction(0), 1)): ONE}):
+    for f in (vac(), F1):
         assert C.rmode({(): ONE}, -1, f) == f
 
 
@@ -250,8 +318,7 @@ def test_contragredient_commutators():
     M = twisted_module(ctx)
     C = Contragredient(M, Fraction(3))
     vir = Virasoro(ctx.sector)
-    f0 = {(): ONE}
-    f1 = {((-Fraction(1), 0), (Fraction(0), 1)): ONE}
+    f0, f1 = vac(), F1
     half = [(m, n, f) for m in (-H, H, Fraction(3, 2)) for n in (-H, H)
             for f in (f0, f1)]
     ints = [(m, n, f) for m in (-1, 0, 1, 2) for n in (-1, 0, 1)
@@ -269,7 +336,7 @@ def test_contragredient_of_untwisted_space():
     ctx = ctx_identity(2)
     V = twisted_module(ctx)
     C = Contragredient(V, Fraction(3))
-    f0 = {(): ONE}
+    f0 = vac()
     ints = [(m, n, f0) for m in (-1, 0, 1) for n in (-1, 0, 1)]
     assert C.verify_commutator(gen(0), gen(1), ints)["ok"]
 
@@ -279,7 +346,17 @@ def test_contragredient_mode_raises_beyond_truncation():
     C = Contragredient(M, Fraction(1))
     vir = Virasoro(M.algebra)
     with pytest.raises(ValueError):
-        C.rmode(vir.omega, -2, {(): ONE})
+        C.rmode(vir.omega, -2, vac())
+
+
+def test_contragredient_rejects_a_functional_off_the_basis():
+    # a functional keyed by an algebra monomial, not a (monomial, ground
+    # index) basis element, would pair with nothing
+    C = Contragredient(twisted_module(ctx_sigma(2)), Fraction(2))
+    with pytest.raises(KeyError):
+        C.rmode({(): ONE}, -1, {(): ONE})
+    with pytest.raises(KeyError):
+        C.verify_commutator(gen(0), gen(1), [(H, H, {(): ONE})])
 
 
 # -------------------------------------------------------------- induction
@@ -370,7 +447,7 @@ def test_induced_space_commutator_identity():
     for ctx in (ctx_sigma(2), ctx_tau()):
         rep = certified_zhu(ctx, Fraction(5, 2))
         umats, udim = omega_umats(rep["algebra"], rep["omega"])
-        space = InducedSpace(rep["algebra"], umats, udim, Fraction(2))
+        space = induce_truncated(rep["algebra"], umats, udim, 0)["space"]
         targets = [{el: ONE} for el in space.basis(Fraction(1))]
         ou, ov = (mode_offset(space, ((-H, g),)) for g in (0, 1))
         samples = [(m, n, w) for m in (ou - 1, ou, ou + 1)
@@ -385,8 +462,6 @@ def test_induced_space_commutator_identity():
 @pytest.mark.parametrize("seed", ["omega", "regular"])
 @pytest.mark.parametrize("name", ["sigma1", "sigma2", "sigma3", "tau"])
 def test_induced_graded_dims_match_oracle(name, seed):
-    # udim copies of an exterior algebra whose lightest raising symbol
-    # has weight 1 on integer support and 1/2 on half-integer support
     ctx = ctx_tau() if name == "tau" else ctx_sigma(int(name[-1]))
     rep = certified_zhu(ctx, Fraction(2))
     alg = rep["algebra"]
@@ -394,10 +469,7 @@ def test_induced_graded_dims_match_oracle(name, seed):
                    else (alg.left_multiplications(), alg.dim))
     depth = Fraction(2)
     res = induce_truncated(alg, umats, udim, depth)
-    offsets = [ONE if ctx.support[g] == 0 else H
-               for g in ctx.sector.gids]
-    oracle = graded_dim_oracle(len(offsets), offsets, depth)
-    assert res["graded_dims"] == {d: udim * n for d, n in oracle.items()}
+    assert res["graded_dims"] == _oracle_dims(ctx, udim, depth)
     assert res["omega_is_seed"]
     assert OmegaSpace(res["space"], depth).degrees() == [0] * udim
 
@@ -411,6 +483,6 @@ def test_induction_under_an_order_four_twist():
     assert rep["certified"] and rep["dim_upper"] == 1
     umats, udim = omega_umats(rep["algebra"], rep["omega"])
     res = induce_truncated(rep["algebra"], umats, udim, Fraction(2))
-    assert res["graded_dims"] == twisted_module(ctx).graded_dims(Fraction(2))
+    assert res["graded_dims"] == _oracle_dims(ctx, 1, 2)
     assert Fraction(1, 4) in res["graded_dims"]
     assert res["omega_is_seed"]

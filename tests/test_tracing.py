@@ -54,7 +54,7 @@ def represent_tau():
     # algebra's own space, so that space's mode cache is read too
     vir = vosa.fields.Virasoro(ctx.sector)
     comm = vosa.fields.verify_commutator(
-        om.space, vir.omega, vir.omega, [(1, 0, {(): Fraction(1)})])
+        om.space, vir.omega, vir.omega, [(1, 0, {((), 0): Fraction(1)})])
     return [om.dim, res["omega_is_seed"], comm["ok"]]
 
 
