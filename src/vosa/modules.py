@@ -7,9 +7,11 @@ zero modes, the canonical g-twisted module; induce_truncated induces
 from a Zhu-algebra module.  Also here: the lowest-weight subspace
 Omega(M) and the zero-mode representation of the Zhu algebra on it.
 
-Omega(M) is an A_g(V)-module by the zero modes (fields.o_action).  Its
-matrices come from omega_umats alone: zhu_rank (the certification lower
-bound), zhu_action_report and induction all read them.
+Omega(M) is an A_g(V)-module by the zero modes (fields.o_action), and
+one code path builds its matrices: omega_umats gives those of every
+basis class, which zhu_action_report and induction read, and
+certified_zhu takes those of the generator classes alone, whose
+generated matrix algebra (zhu_rank) is the certification lower bound.
 
 Omega(M) is computed as the joint kernel of the positive generator
 modes, wherever they sit in the normal ordering.  On a rotation twist
@@ -116,15 +118,31 @@ class OmegaSpace:
 
 
 def zhu_rank(mats: list) -> int:
-    """Rank of the zero-mode matrices, as omega_umats returns them.
+    """Dimension of the unital matrix algebra the matrices generate.
 
-    This is a true lower bound for dim A_g(V): the zero-mode map factors
-    through the quotient by O_g, whatever the truncation missed.
+    mats are zero-mode matrices, as omega_umats returns them, all of the
+    same size.  A breadth-first search over words in them, starting from
+    the identity, keeps each word independent of the kept ones and stops
+    when no product of a matrix with a kept word is new, as
+    ZhuAlgebra.left_multiplications does on the algebra side.  When o is
+    an algebra map, this is the dimension of the image of the subalgebra
+    the matrices' classes generate.
     """
+    n = len(mats[0]) if mats else 0
     ech = Echelon()
-    for mat in mats:
-        ech.add({(y, x): c for y, col in enumerate(mat)
-                 for x, c in col.items()})
+    words = []
+
+    def keep(word):
+        if ech.add({(y, x): c for y, col in enumerate(word)
+                    for x, c in col.items()}):
+            words.append(word)
+
+    keep([{y: Fraction(1)} for y in range(n)])
+    k = 0
+    while k < len(words) and ech.rank < n * n:
+        for mat in mats:
+            keep([mat_apply(mat, col) for col in words[k]])
+        k += 1
     return ech.rank
 
 
@@ -182,19 +200,28 @@ def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1)) -> dict:
 
     The upper bound is the dim of one ZhuAlgebra build: the count of
     free monomials (those that lead no relation of o_relations) up to
-    max_weight; the lower bound is zhu_rank of the omega_umats matrices:
-    the zero-mode action on Omega(M) of the twisted module, computed to
-    degree 1.  Neither generates a relation; reading the star table of
-    the algebra does.  Stabilized means no monomial of weight in
-    (max_weight, max_weight + 1/2] is free in that build (which has
-    classified that band), so the basis one half-weight higher is the
-    same.  reasons lists the failed checks in a fixed order; certified
-    means there are none.
+    max_weight.  The lower bound is zhu_rank of the o-matrices of the
+    generator classes (the unit and the weight-1/2 classes) on Omega(M)
+    of the twisted module, computed to degree 1: the dimension of the
+    matrix algebra they generate.  That algebra is the image under o of
+    the subalgebra the generator classes generate, so its dimension
+    bounds dim A_g(V) from below.  This relies on o(O_g) = 0 and on
+    o(a)o(b) = o(a * b) on Omega(M), the paper's theorem, which verify
+    --suite omega checks.  The bound is capped at the count: below the
+    stable cutoff the count is no upper bound, and the generated
+    dimension can exceed it (8 against 7 for sigma3 at cutoff 1), which
+    would report a lower bound above the upper one.  Neither bound
+    generates a relation; reading the star table of the algebra does.
+    Stabilized means no monomial of weight in (max_weight, max_weight +
+    1/2] is free in that build (which has classified that band), so the
+    basis one half-weight higher is the same.  reasons lists the failed
+    checks in a fixed order; certified means there are none.
     """
     alg = ZhuAlgebra(ctx, max_weight, margin)
     stable = alg.free_monomials(alg.max_weight + HALF) == alg.basis
     om = OmegaSpace(twisted_module(ctx), Fraction(1))
-    lower = zhu_rank(omega_umats(alg, om)[0])
+    gens = [m for m in alg.basis if weight(m) <= HALF]
+    lower = min(zhu_rank(_o_matrices(om, gens)), alg.dim)
     checks = {"not_stabilized": stable,
               "guard_band_not_covered": alg.high_covered,
               "bounds_apart": lower == alg.dim}
@@ -259,15 +286,20 @@ def omega_umats(alg: ZhuAlgebra, om: OmegaSpace) -> tuple:
     to om.basis[y].  Raises ValueError if a zero mode leaves the kernel
     space.
     """
+    return _o_matrices(om, alg.basis), om.dim
+
+
+def _o_matrices(om: OmegaSpace, monomials) -> list:
+    """The sparse matrix of o(m) on om.basis for each monomial m."""
     mats = []
-    for m in alg.basis:
+    for m in monomials:
         mat = span_coordinates(
             om.basis, [o_action(om.space, _mono_state(m), v)
                        for v in om.basis])
         if None in mat:
             raise ValueError("zero modes leave the kernel space")
         mats.append(mat)
-    return mats, om.dim
+    return mats
 
 
 def induce_truncated(alg: ZhuAlgebra, umats: list, udim: int,

@@ -7,12 +7,18 @@ of g*sigma; the span of all circ products is the ideal O_g whose
 quotient A_g(V) = V/O_g is an associative algebra under star.
 
 Dimensions are certified by squeezing: an upper bound from a
-weight-truncated quotient of V, and a lower bound from the rank of the
-zero-mode action on lowest-weight spaces of explicit twisted modules.
-The two agree in every shipped configuration.  Each lead monomial m (a
-structural test on its factors) has one relation R_m in O_g, led by m,
-so the upper bound counts the monomials that are no lead; R_m itself is
-generated only when a reduction reaches m.
+weight-truncated quotient of V, once its basis is stable, and a lower
+bound from the matrix algebra that the zero modes of the generator
+classes generate on the lowest-weight space of the canonical twisted
+module.  The two agree in every shipped configuration.  Each lead
+monomial m (a structural test on its factors) has one relation R_m in
+O_g, led by m, so the upper bound counts the monomials that are no lead;
+R_m itself is generated only when a reduction reaches m.
+
+A product with a generator class needs one-factor modes only: the star
+product when the generator is on the left, Zhu's opposite identity when
+it is on the right (ZhuAlgebra.generator_multiplications).  The plain
+star table is the reference for both.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .fock import (
     State,
     graded_key,
     ns_polarized,
+    parity,
     weight,
 )
 from .fields import HALF, mode_mono, residue_terms
@@ -191,11 +198,14 @@ class ZhuAlgebra:
     them is spanned by the free monomials and its dimension is a count.
     The build classifies the monomials up to max_weight + max(margin,
     1/2) and generates no relation: basis holds the free monomials of
-    weight <= max_weight, dim is an upper bound for the true dimension
-    by construction, and high_covered reports whether every monomial in
-    the guard band above max_weight is a lead, which is what makes the
-    truncation argument close.  The leading coefficient of every counted
-    lead that is not twist-odd is checked on the way (_check_lead).
+    weight <= max_weight, and high_covered reports whether every
+    monomial in the guard band above max_weight is a lead, which is what
+    makes the truncation argument close.  dim bounds dim A_g(V) from
+    above only once the basis is stable and the guard band is covered;
+    below that a free monomial of higher weight can still be a new class
+    (sigma3 counts 7 at cutoff 1 against a true dimension of 8).  The
+    leading coefficient of every counted lead that is not twist-odd is
+    checked on the way (_check_lead).
 
     reduce generates R_m when a reduction first reaches a lead m and adds
     it to ech as the pivot of m, so ech.pivots holds exactly the
@@ -245,6 +255,8 @@ class ZhuAlgebra:
 
     def _relation(self, key) -> dict:
         """R_m keyed for the echelon, for m = key[1]; {} if m is free."""
+        if key[1] in self._index:
+            return {}
         for rel in o_relations(self.ctx, [key[1]]):
             return {graded_key(m): c for m, c in rel.items()}
         return {}
@@ -299,18 +311,28 @@ class ZhuAlgebra:
 
         The generators are the unit and the weight-1/2 basis classes (the
         classes of the strong generators).  Returns (gens, left, right)
-        with left[g][j] the coordinates of basis[g] * basis[j] and
-        right[g][j] those of basis[j] * basis[g], from star_coords: 2
-        products per generator and basis class, of weight at most
+        with left[g][j] the coordinates of basis[g] * basis[j], from
+        star_coords, and right[g][j] those of basis[j] * basis[g], from
+        the opposite identity
+
+            u * v = (-1)^{|u||v|} Res_z Y(v, z) u (1 + z)^{wt v - 1} / z
+
+        modulo O_g (Zhu 1996, Lemma 2.1.3; Dong-Li-Mason 1998 for A_g),
+        which holds for twist-even u and v; every basis class is twist-
+        even.  With v a generator, every mode in it is a one-factor mode,
+        computed in closed form.  The products have weight at most
         max_weight + 1/2.  Raises RuntimeError unless L_g R_h = R_h L_g
-        for every pair, which is associativity on the generators.
+        for every pair, which is associativity on the generators, checked
+        across the two formulas; the plain star_coords table is the
+        tested reference for both.
         """
         if self._gen_mult is None:
             n = self.dim
             gens = [i for i, m in enumerate(self.basis) if weight(m) <= HALF]
             left = {g: [self.star_coords(g, j) for j in range(n)]
                     for g in gens}
-            right = {g: [self.star_coords(j, g) for j in range(n)]
+            right = {g: [self.reduce(self._opposite(u, self.basis[g]))
+                         for u in self.basis]
                      for g in gens}
             for g in gens:
                 for h in gens:
@@ -322,6 +344,14 @@ class ZhuAlgebra:
                                 "generator classes do not commute")
             self._gen_mult = gens, left, right
         return self._gen_mult
+
+    def _opposite(self, u: Monomial, v: Monomial) -> State:
+        """(-1)^{|u||v|} sum_s binom(wt v - 1, s) v_{s-1} u, congruent to
+        u * v modulo O_g for twist-even u and v."""
+        sign = -1 if parity(u) and parity(v) else 1
+        prod = self.ctx._residue_sum(_mono_state(v), _mono_state(u),
+                                     weight(v) - 1, 1)
+        return {m: sign * c for m, c in prod.items()}
 
     def left_multiplications(self) -> list:
         """Left multiplication by every basis class, as sparse columns.

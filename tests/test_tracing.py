@@ -4,13 +4,13 @@ perfbench/spans.py patches vosa's functions and methods by name from
 outside the package, so a refactor that renames or deletes one of them
 breaks the traced benchmark run without failing any other test.  The
 traced jobs are a bare Zhu build, which generates no O_g relation, the
-same build with its block profile, whose relations are generated on
-read and must reach the traced fields.mode, the benchmark's set-up job,
-its own module-side job for tau, and a small copy of that job
-(certification, Omega, induction, a commutator check) whose shape and
-counters the test reads, so a change to how those layers are called is
-caught here too.  The tracer is installed in a fresh interpreter,
-because it patches the package in place.
+same build with its block profile and its whole star table, whose
+relations are generated on read and must reach the traced fields.mode,
+the benchmark's set-up job, its own module-side job for tau, and a
+small copy of that job (certification, Omega, induction, a commutator
+check) whose shape and counters the test reads, so a change to how
+those layers are called is caught here too.  The tracer is installed in
+a fresh interpreter, because it patches the package in place.
 """
 
 import json
@@ -32,11 +32,18 @@ spans.install(tracer, vosa)
 tracer.run_job("zhu_sigma2_build",
                lambda: vosa.zhu.ZhuAlgebra(vosa.zhu.ctx_sigma(2), 2))
 build_relations = tracer.counts["zhu.relations_generated"]
-# the block profile reads the star table, whose reductions generate
-# relations; they reach the mode recursion through fields.mode, so its
-# span counts them
-tracer.run_job("zhu_sigma2", lambda: vosa.zhu.block_profile(
-    vosa.zhu.ZhuAlgebra(vosa.zhu.ctx_sigma(2), 2)))
+
+
+def zhu_sigma2():
+    # the block profile, then the whole star table, whose reductions
+    # generate relations; they reach the mode recursion through
+    # fields.mode, so its span counts them
+    alg = vosa.zhu.ZhuAlgebra(vosa.zhu.ctx_sigma(2), 2)
+    vosa.zhu.block_profile(alg)
+    return alg.check_associative()
+
+
+tracer.run_job("zhu_sigma2", zhu_sigma2)
 zhu_mode_calls = tracer.calls["fields.mode"]
 zhu_relations = tracer.calls["zhu.relations"]
 found = tracer.run_job("warm_up", lambda: workloads.warm_up(vosa))

@@ -274,6 +274,21 @@ def test_derived_product_matches_plain_product(case, data):
     assert derived == plain
 
 
+@pytest.mark.parametrize("ctx,w", (
+    [pytest.param(make, Fraction(2), id=name) for name, make in TWISTS.items()]
+    + [pytest.param(lambda: ctx_sigma(5), Fraction(5, 2), id="sigma5")]))
+def test_opposite_product_matches_star_table(ctx, w):
+    # right multiplication by a generator class comes from the opposite
+    # identity, through one-factor modes; the plain star product of the
+    # basis class with the generator is the reference
+    alg = ZhuAlgebra(ctx(), w)
+    gens, _, right = alg.generator_multiplications()
+    assert gens
+    for g in gens:
+        for j in range(alg.dim):
+            assert right[g][j] == alg.star_coords(j, g)
+
+
 # ------------------------------------------- stub algebras by construction
 # An algebra is given by its left multiplications: left[a][b] holds the
 # coordinates of e_a e_b.  Every block profile below is known by
