@@ -145,17 +145,25 @@ def _emit(result: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def cmd_zhu(args) -> int:
-    ctx = _context(args)
-    key = _cache_key({
+def _zhu_key(ctx, args) -> str:
+    """The cache key of a zhu run: the sector, the twist by name and by
+    its supports (two twists may share a name), the flags and the code
+    version."""
+    return _cache_key({
         "cmd": "zhu",
         "sector": ctx.sector.describe(),
         "twist": ctx.name,
+        "support": [str(ctx.support[g]) for g in ctx.sector.gids],
         "max_weight": str(args.max_weight),
         "margin": str(args.margin),
         "certify": bool(args.certify),
         "version": __version__,
     })
+
+
+def cmd_zhu(args) -> int:
+    ctx = _context(args)
+    key = _zhu_key(ctx, args)
     result = _cache_get(_cache_dir(args), key, args)
     if result is None:
         result = _zhu_report(ctx, args)
@@ -187,8 +195,9 @@ def _zhu_report(ctx, args) -> dict:
         if result["certified"]:
             raise
         # an uncertified truncation need not close under the star
-        # product (a class escapes it), so it has no blocks to report;
-        # a RuntimeError is a failed consistency check and stays an error
+        # product (a class escapes it) nor match a quotient of the
+        # Clifford algebra, so it has no blocks to report; a
+        # RuntimeError is a failed consistency check and stays an error
         prof = dict.fromkeys(("blocks", "center_dim", "radical_dim"))
     result["blocks"] = prof["blocks"]
     result["center_dim"] = prof["center_dim"]

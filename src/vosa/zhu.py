@@ -19,12 +19,18 @@ A product with a generator class needs one-factor modes only: the star
 product when the generator is on the left, Zhu's opposite identity when
 it is on the right (ZhuAlgebra.generator_multiplications).  The plain
 star table is the reference for both.
+
+The matrix blocks are read off the Clifford presentation (block_profile):
+when the anticommutators of the k weight-1/2 classes are scalars forming
+a nondegenerate form G, the subalgebra those classes generate is a
+nonzero quotient of Cl(k, G).  For odd k the chirality element tells
+which one; a quotient of the algebra's dimension is all of it, and a
+truncation that matches no quotient raises ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .exact import (Echelon, mat_apply, mat_lincomb, span_coordinates,
                     vec_iadd)
@@ -397,6 +403,8 @@ class ZhuAlgebra:
         return self._left
 
 
+# center_basis and trace_form_radical_dim feed the generic block count
+# that block_profile is tested against; perfbench/spans.py wraps both
 def center_basis(alg: ZhuAlgebra) -> list[dict]:
     """Basis of the (ungraded) center, as coordinate dicts.
 
@@ -448,61 +456,89 @@ def trace_form_radical_dim(alg: ZhuAlgebra) -> int:
 
 
 def block_profile(alg: ZhuAlgebra) -> dict:
-    """Semisimple structure of the algebra: matrix block sizes.
+    """Semisimple structure of the algebra: matrix block sizes, read off
+    its Clifford presentation.
 
-    Over C a semisimple A of dimension n is a sum of blocks M_{s_j}, and
-    its central idempotents e_j span the center Z.  The two trace forms
-    T_A(x, y) = tr_A(L_{xy}) and T_Z(x, y) = tr_Z(xy) on Z are diag(s_j^2)
-    and the identity in the e_j basis, since L_{e_j} projects A onto its
-    block of dimension s_j^2 and Z onto the line of e_j.  So the number
-    of blocks of size s is dim ker(T_A - s^2 T_Z).  Both forms have
-    rational entries on the rational center basis of center_basis, so
-    that kernel is computed over Q and has the same dimension over C,
-    even when the e_j are not rational.  Everything is exact rational
-    arithmetic on left_multiplications, whose products rely on the
-    associativity of A_g(V); the plain star_coords table is the checked
-    reference.
+    The anticommutators g_a * g_b + g_b * g_a of the k weight-1/2 basis
+    classes g_a must be scalars G_ab times the unit, and G must be
+    nondegenerate.  Then the subalgebra the g_a generate is a nonzero
+    quotient of the Clifford algebra Cl(k, G).  Over C that algebra is
+    simple of dimension 2^k for even k, so the subalgebra is all of it;
+    for odd k it is the sum of two simple halves of dimension 2^(k-1),
+    and the chirality element gamma = f_1 * ... * f_k of a G-orthogonal
+    basis f_i of the generator span tells which quotient the subalgebra
+    is: gamma is central and no scalar in Cl(k, G), and a nonzero scalar
+    in either half.  A subalgebra of the algebra's dimension is the whole
+    algebra, so:
 
-    Blocks are read off only for a semisimple algebra: with a nonzero
-    radical, blocks is None.  A zero radical makes the center semisimple,
-    so a degenerate T_Z and block sizes that do not add up to the center
-    and the dimension are consistency failures (RuntimeError).
+    - even k and dim 2^k: one block of size 2^(k/2);
+    - odd k, gamma no scalar and dim 2^k: two blocks of size 2^((k-1)/2);
+    - odd k, gamma a nonzero scalar and dim 2^(k-1): one such block.
+
+    The radical is 0 in each case.  Anything else (an anticommutator
+    that is no scalar, a degenerate G, a dimension or a gamma that
+    matches no case) raises ValueError, as does a product whose class
+    escapes the truncation.  The products are k^2 star products of
+    weight <= 1 and the k left multiplications that build gamma; the
+    plain star_coords table is the reference for both, and the generic
+    Wedderburn count over the full multiplication tables is the tested
+    oracle.
     """
     from .exact import nullspace
 
-    rad = trace_form_radical_dim(alg)
-    zc = center_basis(alg)
-    if rad:
-        return {"center_dim": len(zc), "radical_dim": rad, "blocks": None}
-    left = alg.left_multiplications()
-    n, k = alg.dim, len(zc)
-    # consts[i][j] = coordinates of zc[i] * zc[j] on the center basis
-    lzc = [mat_lincomb(left, z, n) for z in zc]
-    prods = span_coordinates(zc, [mat_apply(lz, z) for lz in lzc for z in zc])
-    consts = [prods[i * k:(i + 1) * k] for i in range(k)]
-    traces = [sum((col.get(j, 0) for j, col in enumerate(mat)), Fraction(0))
-              for mat in left]
-    # the linear forms t_A(x) = tr_A(L_x) and t_Z(x) = tr_Z(x) on zc
-    t_a = [sum((traces[t] * x for t, x in z.items()), Fraction(0))
-           for z in zc]
-    t_z = [sum((consts[m][i].get(i, 0) for i in range(k)), Fraction(0))
-           for m in range(k)]
+    gens = [i for i, m in enumerate(alg.basis) if weight(m) == HALF]
+    k, n = len(gens), alg.dim
+    unit = alg.unit_coords()  # {u: 1}: the empty monomial is free
+    (u,) = unit
+    gram = [{} for _ in gens]
+    for a, ga in enumerate(gens):
+        for b in range(a, k):
+            anti = vec_iadd(dict(alg.star_coords(ga, gens[b])),
+                            alg.star_coords(gens[b], ga))
+            if not anti.keys() <= unit.keys():
+                raise ValueError("an anticommutator of generator classes "
+                                 "is not a scalar")
+            if anti:
+                gram[a][b] = gram[b][a] = anti[u]
+    if nullspace(gram):
+        raise ValueError("the generator classes have a degenerate "
+                         "anticommutator form")
+    if k % 2 == 0:
+        if n != 2 ** k:
+            raise ValueError(f"dimension {n} is not that of the Clifford "
+                             f"algebra on {k} generators")
+        return {"center_dim": 1, "radical_dim": 0, "blocks": [2 ** (k // 2)]}
+    gamma = unit
+    for f in reversed(_orthogonal_basis(gram)):
+        gamma = alg.product({gens[a]: c for a, c in f.items()}, gamma)
+    if gamma.keys() - unit.keys() and n == 2 ** k:
+        return {"center_dim": 2, "radical_dim": 0,
+                "blocks": [2 ** (k // 2)] * 2}
+    if gamma.keys() == unit.keys() and n == 2 ** (k - 1):
+        return {"center_dim": 1, "radical_dim": 0, "blocks": [2 ** (k // 2)]}
+    raise ValueError(f"dimension {n} and the chirality element match no "
+                     f"quotient of the Clifford algebra on {k} generators")
 
-    def form(t):
-        # columns of the bilinear form (x, y) -> t(xy) on the center basis
-        return [{i: v for i in range(k)
-                 if (v := sum((c * t[m] for m, c in consts[i][j].items()),
-                              Fraction(0)))}
-                for j in range(k)]
 
-    form_a, form_z = form(t_a), form(t_z)
-    if nullspace(form_z):
-        raise RuntimeError("center is not semisimple")
-    blocks = []
-    for s in range(isqrt(n), 0, -1):
-        diff = [vec_iadd(dict(a), z, Fraction(-s * s))
-                for a, z in zip(form_a, form_z)]
-        blocks += [s] * len(nullspace(diff))
-    if len(blocks) != k or sum(s * s for s in blocks) != n:
-        raise RuntimeError("block sizes do not match the center")
-    return {"center_dim": k, "radical_dim": 0, "blocks": blocks}
+def _orthogonal_basis(gram: list) -> list:
+    """A basis of Q^k orthogonal for the nondegenerate symmetric form
+    gram, as sparse vectors, by Gram-Schmidt.  An isotropic vector is
+    replaced by its sum with a vector it pairs with, which is not
+    isotropic in characteristic 0 (a polarized pair b, B is isotropic)."""
+    def form(x, y):
+        return sum((c * d * gram[a].get(b, 0) for a, c in x.items()
+                    for b, d in y.items()), Fraction(0))
+
+    rest = [{a: Fraction(1)} for a in range(len(gram))]
+    out = []
+    while rest:
+        i = next((i for i, x in enumerate(rest) if form(x, x)), None)
+        if i is None:
+            i, j = next((i, j) for i, x in enumerate(rest)
+                        for j in range(i + 1, len(rest)) if form(x, rest[j]))
+            rest[i] = vec_iadd(dict(rest[i]), rest[j])
+        f = rest.pop(i)
+        nf = form(f, f)
+        rest = [vec_iadd(dict(x), f, -form(x, f) / nf) for x in rest]
+        out.append(f)
+    return out

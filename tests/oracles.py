@@ -18,10 +18,12 @@ from-scratch eager builds at two consecutive cutoffs that the package
 reads off one build; recursive_mode_mono, the mode recursion without
 the closed form for a one-factor state; omega_joint_kernel, the
 lowest-weight space cut out by every positive generator mode
-(lowering_mode_labels) and the Virasoro modes together; and
+(lowering_mode_labels) and the Virasoro modes together;
 zero_mode_rank_oracle, which reads the package's o_action but none of
-its matrices or echelon.  TWISTS names the twist contexts the tests
-share.
+its matrices or echelon; and wedderburn_profile, the block count over
+the full multiplication tables that the package's reading of the
+blocks off the Clifford presentation is checked against.  TWISTS names
+the twist contexts the tests share.
 
 The checks at the end, which no command calls, also run on the
 package's own mode recursion: ns_orthonormal, min_assoc_exponent,
@@ -31,17 +33,17 @@ Contragredient test the engine against the vertex-algebra axioms.
 
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import isqrt, lcm
 
-from vosa.exact import (Echelon, gen_binomial, nullspace, span_coordinates,
-                        vec_iadd)
+from vosa.exact import (Echelon, gen_binomial, mat_apply, mat_lincomb,
+                        nullspace, span_coordinates, vec_iadd)
 from vosa.fields import (HALF, Virasoro, commutator_defect, mode, o_action,
                          residue_terms, state_parity, twist_correction)
 from vosa.fock import (Sector, State, graded_key, ns_polarized, parity,
                        state_weight, weight)
 from vosa.modules import OmegaSpace
-from vosa.zhu import (TwistContext, ZhuAlgebra, ctx_identity, ctx_sigma,
-                      ctx_tau, o_relations)
+from vosa.zhu import (TwistContext, ZhuAlgebra, center_basis, ctx_identity,
+                      ctx_sigma, ctx_tau, o_relations, trace_form_radical_dim)
 
 
 def _diagonal(name, support):
@@ -366,6 +368,66 @@ def zero_mode_rank_oracle(alg, om) -> int:
         rows.append(row)
     cols = list(dict.fromkeys(k for row in rows for k in row))
     return matrix_rank_oracle([[row.get(k, 0) for k in cols] for row in rows])
+
+
+def wedderburn_profile(alg) -> dict:
+    """The block profile of block_profile, read off the full left and
+    right multiplication tables with no use of a Clifford presentation.
+
+    Over C a semisimple A of dimension n is a sum of blocks M_{s_j}, and
+    its central idempotents e_j span the center Z.  The two trace forms
+    T_A(x, y) = tr_A(L_{xy}) and T_Z(x, y) = tr_Z(xy) on Z are diag(s_j^2)
+    and the identity in the e_j basis, since L_{e_j} projects A onto its
+    block of dimension s_j^2 and Z onto the line of e_j.  So the number
+    of blocks of size s is dim ker(T_A - s^2 T_Z).  Both forms have
+    rational entries on the rational center basis of center_basis, so
+    that kernel is computed over Q and has the same dimension over C,
+    even when the e_j are not rational.
+
+    Blocks are read off only for a semisimple algebra: with a nonzero
+    radical (trace_form_radical_dim), blocks is None.  A zero radical
+    makes the center semisimple, so a degenerate T_Z and block sizes that
+    do not add up to the center and the dimension are consistency
+    failures (RuntimeError).  alg needs only dim, left_multiplications
+    and generator_multiplications, so stand-in algebras given by their
+    tables work too.
+    """
+    rad = trace_form_radical_dim(alg)
+    zc = center_basis(alg)
+    if rad:
+        return {"center_dim": len(zc), "radical_dim": rad, "blocks": None}
+    left = alg.left_multiplications()
+    n, k = alg.dim, len(zc)
+    # consts[i][j] = coordinates of zc[i] * zc[j] on the center basis
+    lzc = [mat_lincomb(left, z, n) for z in zc]
+    prods = span_coordinates(zc, [mat_apply(lz, z) for lz in lzc for z in zc])
+    consts = [prods[i * k:(i + 1) * k] for i in range(k)]
+    traces = [sum((col.get(j, 0) for j, col in enumerate(mat)), Fraction(0))
+              for mat in left]
+    # the linear forms t_A(x) = tr_A(L_x) and t_Z(x) = tr_Z(x) on zc
+    t_a = [sum((traces[t] * x for t, x in z.items()), Fraction(0))
+           for z in zc]
+    t_z = [sum((consts[m][i].get(i, 0) for i in range(k)), Fraction(0))
+           for m in range(k)]
+
+    def form(t):
+        # columns of the bilinear form (x, y) -> t(xy) on the center basis
+        return [{i: v for i in range(k)
+                 if (v := sum((c * t[m] for m, c in consts[i][j].items()),
+                              Fraction(0)))}
+                for j in range(k)]
+
+    form_a, form_z = form(t_a), form(t_z)
+    if nullspace(form_z):
+        raise RuntimeError("center is not semisimple")
+    blocks = []
+    for s in range(isqrt(n), 0, -1):
+        diff = [vec_iadd(dict(a), z, Fraction(-s * s))
+                for a, z in zip(form_a, form_z)]
+        blocks += [s] * len(nullspace(diff))
+    if len(blocks) != k or sum(s * s for s in blocks) != n:
+        raise RuntimeError("block sizes do not match the center")
+    return {"center_dim": k, "radical_dim": 0, "blocks": blocks}
 
 
 def ns_orthonormal(l: int) -> Sector:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -273,11 +274,13 @@ def test_uncertified_exit_code_cold_and_warm(tmp_path, capsys):
     (["--l", "2", "--max-weight", "1/2", "--certify"], EXIT_UNCERTIFIED,
      3, 3),
     (["--l", "3", "--max-weight", "1"], EXIT_OK, 7, None),
-], ids=["sigma3-certify", "sigma2-certify", "sigma3-plain"])
+    (["--l", "4", "--max-weight", "1"], EXIT_OK, 11, None),
+], ids=["sigma3-certify", "sigma2-certify", "sigma3-plain", "sigma4-plain"])
 def test_truncation_without_blocks_is_reported(tmp_path, capsys, argv, code,
                                                dim, dim_lower):
-    # a class escapes these truncations, so there is no block profile;
-    # the run still reports its dimensions with the documented exit code
+    # a class escapes these truncations, or their dimension is that of
+    # no Clifford quotient (sigma4), so there is no block profile; the
+    # run still reports its dimensions with the documented exit code
     args = [*argv, "--cache-dir", str(tmp_path / "cache")]
     cold = _zhu_stdout(capsys, *args)
     warm = _zhu_stdout(capsys, *args)
@@ -294,6 +297,26 @@ def test_plain_zhu_reports_blocks(tmp_path):
     code, data = run(tmp_path, "zhu", "--l", "3")
     assert code == EXIT_OK
     assert data["dim"] == 8 and data["blocks"] == [2, 2]
+
+
+def test_zhu_at_cutoff_zero_reports_one_block(tmp_path):
+    # the truncation at weight 0 is the unit alone: no generator class
+    code, data = run(tmp_path, "zhu", "--l", "1", "--max-weight", "0")
+    assert code == EXIT_OK
+    assert data["dim"] == 1 and data["blocks"] == [1]
+    assert [data["center_dim"], data["radical_dim"]] == [1, 0]
+
+
+def test_cache_key_tells_twists_of_one_name_apart():
+    from vosa.cli import _zhu_key, build_parser
+    from vosa.fock import ns_polarized
+    from vosa.zhu import TwistContext
+
+    args = build_parser().parse_args(["zhu", "--l", "2"])
+    sector = ns_polarized(2)
+    keys = {_zhu_key(TwistContext("rot", sector, {0: s, 1: -s}), args)
+            for s in (0, Fraction(1, 4), Fraction(1, 3))}
+    assert len(keys) == 3
 
 
 def test_certified_profile_failure_is_an_error(capsys, monkeypatch):

@@ -6,10 +6,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import TWISTS, reduction_family
+from oracles import TWISTS, reduction_family, wedderburn_profile
 from vosa.exact import vec_iadd
 from vosa.fields import Virasoro
-from vosa.fock import ns_polarized
+from vosa.fock import ns_polarized, weight
 from vosa.modules import certified_zhu, twisted_module
 from vosa.zhu import (TwistContext, ZhuAlgebra, block_profile, center_basis,
                      ctx_identity, ctx_sigma, ctx_tau,
@@ -392,9 +392,9 @@ _Q = [[{0: ONE}]]
                  {"center_dim": 3, "radical_dim": 0, "blocks": [1, 1, 1]},
                  id="Q^3")])
 def test_block_profile_reads_no_blocks_off_a_radical(left, expect):
-    # blocks are read off only for a semisimple algebra; upper-triangular
-    # matrices are 1 x 1 blocks mod a radical
-    assert block_profile(_Algebra(left)) == expect
+    # the oracle reads blocks off only for a semisimple algebra;
+    # upper-triangular matrices are 1 x 1 blocks mod a radical
+    assert wedderburn_profile(_Algebra(left)) == expect
 
 
 @pytest.mark.parametrize("name", list(TWISTS))
@@ -403,7 +403,67 @@ def test_block_profile_is_the_clifford_count(name):
     # size 2^(k/2) for even k, two of size 2^((k-1)/2) for odd k
     ctx = TWISTS[name]()
     k = sum(1 for s in ctx.support.values() if s == 0)
-    prof = block_profile(ZhuAlgebra(ctx, Fraction(2)))
-    assert prof["radical_dim"] == 0
-    assert prof["center_dim"] == 1 + k % 2
-    assert prof["blocks"] == [2 ** (k // 2)] * (1 + k % 2)
+    alg = ZhuAlgebra(ctx, Fraction(2))
+    for prof in (block_profile(alg), wedderburn_profile(alg)):
+        assert prof["radical_dim"] == 0
+        assert prof["center_dim"] == 1 + k % 2
+        assert prof["blocks"] == [2 ** (k // 2)] * (1 + k % 2)
+
+
+@pytest.mark.parametrize("ctx,w", (
+    [pytest.param(make, Fraction(2), id=name) for name, make in TWISTS.items()]
+    + [pytest.param(lambda: ctx_sigma(5), Fraction(5, 2), id="sigma5"),
+       pytest.param(lambda: ctx_sigma(6), Fraction(3), id="sigma6")]))
+def test_block_profile_matches_the_wedderburn_count(ctx, w):
+    # the blocks read off the Clifford presentation against the generic
+    # count over the full multiplication tables
+    alg = ZhuAlgebra(ctx(), w)
+    assert block_profile(alg) == wedderburn_profile(alg)
+
+
+def _profile_or_refusal(profile, alg):
+    try:
+        return profile(alg)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("name", list(TWISTS))
+def test_block_profile_refuses_where_the_wedderburn_count_does(name):
+    # below the stable cutoff a truncation need not close under the star
+    # product nor be a Clifford quotient: both readings refuse it, or
+    # both give the same profile
+    for w in (0, Fraction(1, 2), 1, Fraction(3, 2)):
+        for margin in (Fraction(1, 2), 1):
+            alg = ZhuAlgebra(TWISTS[name](), w, margin)
+            assert (_profile_or_refusal(block_profile, alg)
+                    == _profile_or_refusal(wedderburn_profile, alg)), \
+                (w, margin)
+
+
+def test_block_profile_refuses_a_truncation_of_clifford_dimension():
+    # dim 16 = 2^(k-1) with k = 5 generator classes, yet no quotient of
+    # the Clifford algebra: the chirality element tells it apart
+    alg = ZhuAlgebra(ctx_sigma(5), 1)
+    assert alg.dim == 16
+    with pytest.raises(ValueError):
+        block_profile(alg)
+    with pytest.raises(ValueError):
+        wedderburn_profile(alg)
+
+
+def test_block_profile_refuses_an_anticommutator_that_is_no_scalar(
+        monkeypatch):
+    alg = ZhuAlgebra(ctx_sigma(2), Fraction(2))
+    ga, gb = [i for i, m in enumerate(alg.basis) if weight(m) == H]
+    plain = alg.star_coords
+
+    def tampered(i, j):
+        out = dict(plain(i, j))
+        if (i, j) == (ga, gb):
+            vec_iadd(out, {alg.dim - 1: ONE})
+        return out
+
+    monkeypatch.setattr(alg, "star_coords", tampered)
+    with pytest.raises(ValueError, match="not a scalar"):
+        block_profile(alg)
