@@ -308,7 +308,9 @@ def induce_truncated(alg: ZhuAlgebra, umats: list, udim: int,
 
     Returns the induced space, its graded dimensions, and whether the
     lowest-weight space of the result recovers exactly the seed (the
-    degree-0 piece and nothing else at the truncation).
+    degree-0 piece and nothing else at the truncation).  Of umats it
+    reads only the matrices of the integer-support generator classes,
+    which act as the zero modes of their generators.
     """
     if udim == 0:
         return {"space": None, "graded_dims": {}, "omega_dim": 0,

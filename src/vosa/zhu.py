@@ -15,10 +15,10 @@ monomial m (a structural test on its factors) has one relation R_m in
 O_g, led by m, so the upper bound counts the monomials that are no lead;
 R_m itself is generated only when a reduction reaches m.
 
-A product with a generator class needs one-factor modes only: the star
-product when the generator is on the left, Zhu's opposite identity when
-it is on the right (ZhuAlgebra.generator_multiplications).  The plain
-star table is the reference for both.
+A product with a generator class on the left needs one-factor modes
+only; ZhuAlgebra.left_multiplications derives every other left
+multiplication from these along words in the generators, and the plain
+star table is its tested reference.
 
 The matrix blocks are read off the Clifford presentation (block_profile):
 when the anticommutators of the k weight-1/2 classes are scalars forming
@@ -40,7 +40,6 @@ from .fock import (
     State,
     graded_key,
     ns_polarized,
-    parity,
     weight,
 )
 from .fields import HALF, mode_mono, residue_terms
@@ -234,7 +233,6 @@ class ZhuAlgebra:
         self.dim = len(self.basis)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._table = {}
-        self._gen_mult = None
         self._left = None
 
     def free_monomials(self, w) -> list:
@@ -312,53 +310,6 @@ class ZhuAlgebra:
                         return False
         return True
 
-    def generator_multiplications(self) -> tuple:
-        """Left and right multiplication by the generator classes.
-
-        The generators are the unit and the weight-1/2 basis classes (the
-        classes of the strong generators).  Returns (gens, left, right)
-        with left[g][j] the coordinates of basis[g] * basis[j], from
-        star_coords, and right[g][j] those of basis[j] * basis[g], from
-        the opposite identity
-
-            u * v = (-1)^{|u||v|} Res_z Y(v, z) u (1 + z)^{wt v - 1} / z
-
-        modulo O_g (Zhu 1996, Lemma 2.1.3; Dong-Li-Mason 1998 for A_g),
-        which holds for twist-even u and v; every basis class is twist-
-        even.  With v a generator, every mode in it is a one-factor mode,
-        computed in closed form.  The products have weight at most
-        max_weight + 1/2.  Raises RuntimeError unless L_g R_h = R_h L_g
-        for every pair, which is associativity on the generators, checked
-        across the two formulas; the plain star_coords table is the
-        tested reference for both.
-        """
-        if self._gen_mult is None:
-            n = self.dim
-            gens = [i for i, m in enumerate(self.basis) if weight(m) <= HALF]
-            left = {g: [self.star_coords(g, j) for j in range(n)]
-                    for g in gens}
-            right = {g: [self.reduce(self._opposite(u, self.basis[g]))
-                         for u in self.basis]
-                     for g in gens}
-            for g in gens:
-                for h in gens:
-                    for j in range(n):
-                        if (mat_apply(left[g], right[h][j])
-                                != mat_apply(right[h], left[g][j])):
-                            raise RuntimeError(
-                                "left and right multiplications by "
-                                "generator classes do not commute")
-            self._gen_mult = gens, left, right
-        return self._gen_mult
-
-    def _opposite(self, u: Monomial, v: Monomial) -> State:
-        """(-1)^{|u||v|} sum_s binom(wt v - 1, s) v_{s-1} u, congruent to
-        u * v modulo O_g for twist-even u and v."""
-        sign = -1 if parity(u) and parity(v) else 1
-        prod = self.ctx._residue_sum(_mono_state(v), _mono_state(u),
-                                     weight(v) - 1, 1)
-        return {m: sign * c for m, c in prod.items()}
-
     def left_multiplications(self) -> list:
         """Left multiplication by every basis class, as sparse columns.
 
@@ -366,25 +317,29 @@ class ZhuAlgebra:
         basis[y]: the algebra acting on itself, the regular seed of an
         induction.
 
-        A breadth-first search over words in the weight-1/2 generator
-        classes, starting from the unit, keeps each word whose coordinates
-        are independent of the kept ones, with L_{g*w} = L_g L_w, and
-        stops at rank dim; L_i is then the combination of kept L_w that
-        gives basis[i].  This relies on the associativity of A_g(V) and on
-        its generation by the classes of the strong generators
-        (Dong-Li-Mason); the plain products of star_coords are the
-        checked reference.  Raises ValueError if the words do not span.
+        Left multiplication by a weight-1/2 generator class g is the
+        plain star_coords row of g.  A breadth-first search over words in
+        these classes, starting from the unit, which acts as the
+        identity, keeps each word whose coordinates are independent of the
+        kept ones, with L_{g*w} = L_g L_w, and stops at rank dim; L_i is
+        then the combination of kept L_w that gives basis[i].  This relies
+        on the associativity of A_g(V) and on its generation by the classes
+        of the strong generators (Dong-Li-Mason); the tests compare the
+        derived table with the plain star_coords table.  Raises ValueError
+        if the words do not span.
         """
         if self._left is None:
-            gens, left, _ = self.generator_multiplications()
-            steps = [g for g in gens if weight(self.basis[g]) == HALF]
+            n = self.dim
+            steps = [i for i, m in enumerate(self.basis) if weight(m) == HALF]
+            left = {g: [self.star_coords(g, j) for j in range(n)]
+                    for g in steps}
             unit = self.unit_coords()
             ech = Echelon()
-            words = []  # (coordinates, left multiplication) of kept words
-            if ech.add(unit):
-                words.append((unit, mat_lincomb(left, unit, self.dim)))
+            ech.add(unit)
+            # (coordinates, left multiplication) of kept words
+            words = [(unit, [{j: Fraction(1)} for j in range(n)])]
             k = 0
-            while k < len(words) and ech.rank < self.dim:
+            while k < len(words) and ech.rank < n:
                 coords, mat = words[k]
                 k += 1
                 for g in steps:
@@ -392,13 +347,13 @@ class ZhuAlgebra:
                     if ech.add(new):
                         words.append((new, [mat_apply(left[g], col)
                                                for col in mat]))
-            if ech.rank < self.dim:
+            if ech.rank < n:
                 raise ValueError("the generator classes do not span "
                                  "the truncation")
-            units = [{i: Fraction(1)} for i in range(self.dim)]
+            units = [{i: Fraction(1)} for i in range(n)]
             mats = [mat for _, mat in words]
             self._left = [
-                mat_lincomb(mats, a, self.dim)
+                mat_lincomb(mats, a, n)
                 for a in span_coordinates([c for c, _ in words], units)]
         return self._left
 
@@ -406,24 +361,19 @@ class ZhuAlgebra:
 # center_basis and trace_form_radical_dim feed the generic block count
 # that block_profile is tested against; perfbench/spans.py wraps both
 def center_basis(alg: ZhuAlgebra) -> list[dict]:
-    """Basis of the (ungraded) center, as coordinate dicts.
-
-    The center is the commutant of the generator classes: they generate
-    the algebra (left_multiplications checks that their words span), and
-    by associativity an element commuting with each of them commutes with
-    their products.  The plain star_coords table is the checked
-    reference for the derived products.
+    """Basis of the (ungraded) center, as coordinate dicts: the x with
+    basis[i] * x = x * basis[i] for every i, read off the one table of
+    left_multiplications, where basis[j] * basis[i] is column i of L_j.
     """
     from .exact import nullspace
 
-    alg.left_multiplications()
-    gens, left, right = alg.generator_multiplications()
+    left = alg.left_multiplications()
     images = []
     for j in range(alg.dim):
         img: dict = {}
-        for g in gens:
-            vec_iadd(img, {(g, t): c for t, c in left[g][j].items()})
-            vec_iadd(img, {(g, t): c for t, c in right[g][j].items()},
+        for i, mat in enumerate(left):
+            vec_iadd(img, {(i, t): c for t, c in mat[j].items()})
+            vec_iadd(img, {(i, t): c for t, c in left[j][i].items()},
                      Fraction(-1))
         images.append(img)
     return nullspace(images)
@@ -435,9 +385,7 @@ def trace_form_radical_dim(alg: ZhuAlgebra) -> int:
     For a finite-dimensional associative algebra in characteristic zero
     this equals the dimension of the Jacobson radical.  The form is
     tr(L_i L_j) = sum c_ik^t c_jt^k over the sparse structure constants
-    of left_multiplications, which are derived from the generator
-    products by associativity; the plain star_coords table is the checked
-    reference.
+    of left_multiplications.
     """
     from .exact import nullspace
 

@@ -20,10 +20,12 @@ the closed form for a one-factor state; omega_joint_kernel, the
 lowest-weight space cut out by every positive generator mode
 (lowering_mode_labels) and the Virasoro modes together;
 zero_mode_rank_oracle, which reads the package's o_action but none of
-its matrices or echelon; and wedderburn_profile, the block count over
-the full multiplication tables that the package's reading of the
-blocks off the Clifford presentation is checked against.  TWISTS names
-the twist contexts the tests share.
+its matrices or echelon; opposite_product, Zhu's opposite identity for
+a product u * v, which the plain star table and the package's derived
+left multiplications are checked against; and wedderburn_profile, the
+block count over the full multiplication table that the package's
+reading of the blocks off the Clifford presentation is checked
+against.  TWISTS names the twist contexts the tests share.
 
 The checks at the end, which no command calls, also run on the
 package's own mode recursion: ns_orthonormal, min_assoc_exponent,
@@ -370,9 +372,28 @@ def zero_mode_rank_oracle(alg, om) -> int:
     return matrix_rank_oracle([[row.get(k, 0) for k in cols] for row in rows])
 
 
+def opposite_product(ctx, u, v) -> State:
+    """(-1)^{|u||v|} sum_s binom(wt v - 1, s) v_{s-1} u for monomials u
+    and v, that is (-1)^{|u||v|} Res_z Y(v, z) u (1 + z)^{wt v - 1} / z.
+
+    It is congruent to u * v modulo O_g for twist-even u and v (Zhu 1996,
+    Lemma 2.1.3; Dong-Li-Mason 1998 for A_g); every basis class is
+    twist-even.  With v a generator every mode in it is a one-factor
+    mode: a second formula for the products with a generator class on
+    the right.
+    """
+    sign = -1 if parity(u) and parity(v) else 1
+    out: State = {}
+    for _, c, prod in residue_terms(ctx.sector, {v: Fraction(1)},
+                                    weight(v) - 1, 1, {u: Fraction(1)}):
+        vec_iadd(out, prod, sign * c)
+    return out
+
+
 def wedderburn_profile(alg) -> dict:
-    """The block profile of block_profile, read off the full left and
-    right multiplication tables with no use of a Clifford presentation.
+    """The block profile of block_profile, read off the full table of
+    left multiplications with no use of a Clifford presentation; a right
+    product x * y is column y of L_x.
 
     Over C a semisimple A of dimension n is a sum of blocks M_{s_j}, and
     its central idempotents e_j span the center Z.  The two trace forms
@@ -388,9 +409,8 @@ def wedderburn_profile(alg) -> dict:
     radical (trace_form_radical_dim), blocks is None.  A zero radical
     makes the center semisimple, so a degenerate T_Z and block sizes that
     do not add up to the center and the dimension are consistency
-    failures (RuntimeError).  alg needs only dim, left_multiplications
-    and generator_multiplications, so stand-in algebras given by their
-    tables work too.
+    failures (RuntimeError).  alg needs only dim and left_multiplications,
+    so stand-in algebras given by their tables work too.
     """
     rad = trace_form_radical_dim(alg)
     zc = center_basis(alg)

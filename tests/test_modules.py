@@ -427,6 +427,25 @@ def test_regular_seed_matches_star_table(ctx, w):
                 assert mat[y].get(x, 0) == alg.star_coords(i, y).get(x, 0)
 
 
+@pytest.mark.parametrize("name", ["sigma3", "sigma4", "tau"])
+def test_induction_reads_only_the_generator_matrices(name):
+    # the regular seed with every matrix but those of the integer-support
+    # generator classes replaced by zero columns induces the same module
+    ctx = TWISTS[name]()
+    alg = ZhuAlgebra(ctx, Fraction(2))
+    mats = alg.left_multiplications()
+    keep = {i for g in _integer_support(ctx) for i in alg.reduce(gen(g))}
+    assert keep and len(keep) < alg.dim
+    zero = [{} for _ in range(alg.dim)]
+    bare = [mat if i in keep else zero for i, mat in enumerate(mats)]
+    depth = Fraction(3, 2)
+    full = induce_truncated(alg, mats, alg.dim, depth)
+    part = induce_truncated(alg, bare, alg.dim, depth)
+    assert full["omega_is_seed"]
+    for key in ("graded_dims", "omega_is_seed"):
+        assert part[key] == full[key]
+
+
 @pytest.mark.parametrize("ctx", (
     [pytest.param(ctx_sigma(l), id=f"sigma{l}") for l in (1, 2, 3, 4)]
     + [pytest.param(ctx_tau(), id="tau"),

@@ -6,7 +6,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import TWISTS, reduction_family, wedderburn_profile
+from oracles import (TWISTS, opposite_product, reduction_family,
+                     wedderburn_profile)
 from vosa.exact import vec_iadd
 from vosa.fields import Virasoro
 from vosa.fock import ns_polarized, weight
@@ -278,15 +279,19 @@ def test_derived_product_matches_plain_product(case, data):
     [pytest.param(make, Fraction(2), id=name) for name, make in TWISTS.items()]
     + [pytest.param(lambda: ctx_sigma(5), Fraction(5, 2), id="sigma5")]))
 def test_opposite_product_matches_star_table(ctx, w):
-    # right multiplication by a generator class comes from the opposite
-    # identity, through one-factor modes; the plain star product of the
-    # basis class with the generator is the reference
+    # a product with a generator class g on the right, from Zhu's opposite
+    # identity through one-factor modes and from the derived left table,
+    # against the plain star product of the basis class with g
     alg = ZhuAlgebra(ctx(), w)
-    gens, _, right = alg.generator_multiplications()
+    gens = [g for g, m in enumerate(alg.basis) if weight(m) <= H]
+    left = alg.left_multiplications()
     assert gens
     for g in gens:
-        for j in range(alg.dim):
-            assert right[g][j] == alg.star_coords(j, g)
+        for j, u in enumerate(alg.basis):
+            plain = alg.star_coords(j, g)
+            assert alg.reduce(opposite_product(alg.ctx, u, alg.basis[g])) \
+                == plain
+            assert left[j][g] == plain
 
 
 # ------------------------------------------- stub algebras by construction
@@ -342,8 +347,7 @@ def _direct_sum(*parts):
 
 
 class _Algebra:
-    """Stand-in algebra from its left multiplications, with every basis
-    element taken as a generator."""
+    """Stand-in algebra from its left multiplications."""
 
     def __init__(self, left):
         self._left = left
@@ -351,11 +355,6 @@ class _Algebra:
 
     def left_multiplications(self):
         return self._left
-
-    def generator_multiplications(self):
-        gens = list(range(self.dim))
-        right = {g: [self._left[j][g] for j in gens] for g in gens}
-        return gens, dict(enumerate(self._left)), right
 
 
 _Q = [[{0: ONE}]]
