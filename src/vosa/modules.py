@@ -199,29 +199,34 @@ def certified_zhu(ctx: TwistContext, max_weight, margin=Fraction(1)) -> dict:
     """Full certification: stabilized upper bound against zero-mode rank.
 
     The upper bound is the dim of one ZhuAlgebra build: the count of
-    free monomials (those that lead no relation of o_relations) up to
-    max_weight.  The lower bound is zhu_rank of the o-matrices of the
-    generator classes (the unit and the weight-1/2 classes) on Omega(M)
-    of the twisted module, computed to degree 1: the dimension of the
-    matrix algebra they generate.  That algebra is the image under o of
-    the subalgebra the generator classes generate, so its dimension
-    bounds dim A_g(V) from below.  This relies on o(O_g) = 0 and on
-    o(a)o(b) = o(a * b) on Omega(M), the paper's theorem, which verify
-    --suite omega checks.  The bound is capped at the count: below the
-    stable cutoff the count is no upper bound, and the generated
-    dimension can exceed it (8 against 7 for sigma3 at cutoff 1), which
-    would report a lower bound above the upper one.  Neither bound
-    generates a relation; reading the star table of the algebra does.
-    Stabilized means no monomial of weight in (max_weight, max_weight +
-    1/2] is free in that build (which has classified that band), so the
-    basis one half-weight higher is the same.  reasons lists the failed
-    checks in a fixed order; certified means there are none.
+    free monomials, the subsets of the free alphabet, up to max_weight.
+    The lower bound is zhu_rank of the o-matrices of the generator
+    classes (the unit and the twist-even weight-1/2 states, read off the
+    sector rather than the count) on Omega(M) of the twisted module,
+    computed to degree 1: the dimension of the matrix algebra they
+    generate.  That algebra is the image under o of the subalgebra the
+    generator classes generate, so its dimension bounds dim A_g(V) from
+    below.  This relies on o(O_g) = 0 and on o(a)o(b) = o(a * b) on
+    Omega(M), the paper's theorem, which verify --suite omega checks.
+    Once the basis is stable and the guard band covered the count is an
+    upper bound, so a rank above it refutes the count: RuntimeError.
+    Below that the count is no upper bound, and the generated dimension
+    can exceed it (8 against 7 for sigma3 at cutoff 1), so the reported
+    lower bound is capped at the count.  Neither bound generates a
+    relation; reading the star table of the algebra does.  Stabilized
+    means no free monomial has weight in (max_weight, max_weight + 1/2],
+    so the basis one half-weight higher is the same.  reasons lists the
+    failed checks in a fixed order; certified means there are none.
     """
     alg = ZhuAlgebra(ctx, max_weight, margin)
     stable = alg.free_monomials(alg.max_weight + HALF) == alg.basis
     om = OmegaSpace(twisted_module(ctx), Fraction(1))
-    gens = [m for m in alg.basis if weight(m) <= HALF]
-    lower = min(zhu_rank(_o_matrices(om, gens)), alg.dim)
+    gens = [m for m in ctx.sector.basis(HALF) if ctx.rstar(m) == 0]
+    rank = zhu_rank(_o_matrices(om, gens))
+    if stable and alg.high_covered and rank > alg.dim:
+        raise RuntimeError(f"the zero-mode rank {rank} exceeds the count "
+                           f"{alg.dim} of free monomials")
+    lower = min(rank, alg.dim)
     checks = {"not_stabilized": stable,
               "guard_band_not_covered": alg.high_covered,
               "bounds_apart": lower == alg.dim}

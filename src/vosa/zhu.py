@@ -12,8 +12,10 @@ bound from the matrix algebra that the zero modes of the generator
 classes generate on the lowest-weight space of the canonical twisted
 module.  The two agree in every shipped configuration.  Each lead
 monomial m (a structural test on its factors) has one relation R_m in
-O_g, led by m, so the upper bound counts the monomials that are no lead;
-R_m itself is generated only when a reduction reaches m.
+O_g, led by m, so the upper bound counts the monomials that are no lead:
+the subsets of the free alphabet, the weight-1/2 factors (-1/2, a) of
+the generators of support 0.  R_m itself is generated only when a
+reduction reaches m.
 
 A product with a generator class on the left needs one-factor modes
 only; ZhuAlgebra.left_multiplications derives every other left
@@ -31,17 +33,13 @@ truncation that matches no quotient raises ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import floor
 
 from .exact import (Echelon, mat_apply, mat_lincomb, span_coordinates,
                     vec_iadd)
-from .fock import (
-    Monomial,
-    Sector,
-    State,
-    graded_key,
-    ns_polarized,
-    weight,
-)
+from .fock import (Monomial, Sector, State, graded_key, ns_polarized,
+                   weight)
 from .fields import HALF, mode_mono, residue_terms
 
 
@@ -148,24 +146,23 @@ def _generator_split(ctx: TwistContext, m: Monomial):
     return None
 
 
-def _no_lead(m: Monomial) -> RuntimeError:
-    labels = ", ".join(f"({nu}, {b})" for nu, b in m)
-    return RuntimeError(f"the O_g relation for ({labels}) does not lead "
-                        "with it")
+def _check_lead(ctx: TwistContext, u: Monomial) -> None:
+    """Check once, for the generator mode u = ((q, a),), the lead of every
+    R_m = u circ v split at it, without generating one.
 
-
-def _check_lead(ctx: TwistContext, m: Monomial, u: Monomial,
-                v: Monomial) -> None:
-    """The lead of R_m = u circ v without generating it.
-
-    The i = 0 term u_{-delta-1} v of the residue sum is the only one of
-    m's weight (the term i has weight wt m - i), so R_m leads with m
-    exactly when that term is a nonzero multiple of m alone; analytically
-    it is +-C(p + delta, p) m with p = -q - 1/2.  RuntimeError otherwise.
+    Only the i = 0 term u_{-delta-1} v of the residue sum has m's weight.
+    Lemma: on the algebra's Fock space u_{-delta-1} is +-C(p + delta, p),
+    p = -q - 1/2, times the creation mode a_{q-delta}, whose factor v
+    lacks; so that term is a nonzero multiple of m exactly when
+    u_{-delta-1} sends the vacuum to one of a_{q-delta}|0>.  RuntimeError
+    otherwise.
     """
-    top = mode_mono(ctx.sector, u, -1 - ctx.delta(u), v)
-    if top.keys() != {m}:
-        raise _no_lead(m)
+    ((q, a),) = u
+    d = ctx.delta(u)
+    if mode_mono(ctx.sector, u, -1 - d, ()).keys() != {((q - d, a),)}:
+        raise RuntimeError(f"the O_g relations split at the generator "
+                           f"mode ({q}, {a}) do not lead with their "
+                           "monomials")
 
 
 def o_relations(ctx: TwistContext, monomials):
@@ -190,7 +187,9 @@ def o_relations(ctx: TwistContext, monomials):
             continue
         rel = ctx.circ(*map(_mono_state, split))
         if not rel.get(m) or max(rel, key=graded_key) != m:
-            raise _no_lead(m)
+            labels = ", ".join(f"({nu}, {b})" for nu, b in m)
+            raise RuntimeError(f"the O_g relation for ({labels}) does not "
+                               "lead with it")
         yield rel
 
 
@@ -201,16 +200,17 @@ class ZhuAlgebra:
     with mu + delta(a) <= -1/2; the others are free.  Every lead has one
     relation R_m of o_relations, led by m, so the quotient by all of
     them is spanned by the free monomials and its dimension is a count.
-    The build classifies the monomials up to max_weight + max(margin,
-    1/2) and generates no relation: basis holds the free monomials of
-    weight <= max_weight, and high_covered reports whether every
-    monomial in the guard band above max_weight is a lead, which is what
-    makes the truncation argument close.  dim bounds dim A_g(V) from
-    above only once the basis is stable and the guard band is covered;
-    below that a free monomial of higher weight can still be a new class
-    (sigma3 counts 7 at cutoff 1 against a true dimension of 8).  The
-    leading coefficient of every counted lead that is not twist-odd is
-    checked on the way (_check_lead).
+    On the algebra's Fock space every mode is at most -1/2, and delta(a)
+    is 1 exactly when a has support 0, so the free monomials are the
+    subsets of the free alphabet, the factors (-1/2, a) with a of support
+    0: 2^k for k letters.  basis holds those of weight <= max_weight, and
+    high_covered reports whether none in the guard band above max_weight
+    is free, which makes the truncation argument close.  dim bounds dim
+    A_g(V) from above only once the basis is stable and the guard band
+    is covered; below that a free monomial of higher weight can still be
+    a new class (sigma3 counts 7 at cutoff 1 against a true dimension of
+    8).  The build generates no relation; it checks the leads once per
+    generator mode that splits one (_check_lead).
 
     reduce generates R_m when a reduction first reaches a lead m and adds
     it to ech as the pivot of m, so ech.pivots holds exactly the
@@ -224,8 +224,6 @@ class ZhuAlgebra:
         self.max_weight = Fraction(max_weight)
         self.margin = Fraction(margin)
         self.ech = Echelon()
-        self._covered = Fraction(-1)
-        self._free = []
         self._extend(self.max_weight + max(self.margin, HALF))
         self.basis = self.free_monomials(self.max_weight)
         guarded = self.free_monomials(self.max_weight + self.margin)
@@ -236,26 +234,25 @@ class ZhuAlgebra:
         self._left = None
 
     def free_monomials(self, w) -> list:
-        """The free monomials of weight <= w, in graded order."""
-        self._extend(w)
-        return [m for m in self._free if weight(m) <= w]
-
-    def _extend(self, w_amb) -> None:
-        """Classify the monomials of weight in (_covered, w_amb]: the free
-        ones join _free, and each lead that is not twist-odd has its
-        leading coefficient checked."""
-        if w_amb <= self._covered:
-            return
+        """The free monomials of weight <= w, in graded order: the
+        subsets of at most 2w letters of the free alphabet, by size and
+        then in combinations order."""
         ctx = self.ctx
-        for m in ctx.sector.basis(w_amb):
-            if weight(m) <= self._covered or ctx.rstar(m) != 0:
-                continue
-            split = _generator_split(ctx, m)
-            if split is None:
-                self._free.append(m)
-            else:
-                _check_lead(ctx, m, *split)
-        self._covered = w_amb
+        letters = [(-HALF, a) for a in ctx.sector.gids if ctx.support[a] == 0]
+        return [m for size in range(min(floor(2 * w), len(letters)) + 1)
+                for m in combinations(letters, size)]
+
+    # the name stays because perfbench/spans.py times the build through it
+    def _extend(self, w_amb) -> None:
+        """Run _check_lead at every generator mode ((mu + delta(a), a),)
+        with mu + delta(a) <= -1/2 and -mu <= w_amb: the modes that split
+        the leads up to w_amb."""
+        ctx = self.ctx
+        for a in ctx.sector.gids:
+            d = ctx.delta(((-HALF, a),))
+            for mu in ctx.sector.creation_modes(a, -w_amb):
+                if mu + d <= -HALF:
+                    _check_lead(ctx, ((mu + d, a),))
 
     def _relation(self, key) -> dict:
         """R_m keyed for the echelon, for m = key[1]; {} if m is free."""

@@ -6,8 +6,9 @@ The exceptions are the plain computations that the package's pruned
 ones are checked against: reduction_family, the two-parameter family of
 residue members of O_g whose (0, 0) member is circ; EagerZhuAlgebra,
 the build that puts every relation of a generator into the echelon
-before it reads the free monomials off the pivots, against which the
-package's leads and relations generated on read are checked;
+before it reads the free monomials off the pivots of the ambient Fock
+space, against which the package's count of the free alphabet, its
+leads and its relations generated on read are checked;
 o_relations_window, the package's own relations over a weight window;
 generator_circ_relations, every circ product of a generator mode with a
 basis monomial, which the package's one relation per lead must span the
@@ -222,21 +223,29 @@ def o_relations_window(ctx, w_ambient, w_skip=Fraction(-1)):
 
 
 class EagerZhuAlgebra(ZhuAlgebra):
-    """The quotient by every relation of a generator, eagerly.
+    """The quotient by every relation of a generator, eagerly: the
+    reference for the package's count of the free alphabet.
 
     relations(ctx, w_ambient, w_skip) yields members of O_g whose top
     weight lies in (w_skip, w_ambient]: o_relations_window,
     generator_circ_relations, full_pairs_relations or
-    generator_first_relations.  Growing the window puts all of them into
-    the echelon, and the free monomials are those that are no pivot, as
-    the echelon leaves them.  reduce grows the window to the weight of
-    its state first and never generates a relation on read.
+    generator_first_relations.  Growing the window to weight w puts all
+    of them into the echelon, and the free monomials of weight <= w are
+    those of the ambient Fock space that are no pivot, as the echelon
+    leaves them.  reduce grows the window to the weight of its state
+    first and never generates a relation on read.
     """
 
     def __init__(self, ctx, max_weight, margin=Fraction(1),
                  relations=o_relations_window):
         self.relations = relations
+        self._covered = Fraction(-1)
+        self._free = []
         super().__init__(ctx, max_weight, margin)
+
+    def free_monomials(self, w) -> list:
+        self._extend(w)
+        return [m for m in self._free if weight(m) <= w]
 
     def _extend(self, w_amb) -> None:
         if w_amb <= self._covered:

@@ -1,15 +1,19 @@
-"""Leads counted at build, relations generated on read, and the
-one-build stabilization check.
+"""The free alphabet counted at build, relations generated on read, the
+one-build stabilization check and the squeeze.
 
 Every monomial of the window is a lead or free; each lead m has one O_g
-relation R_m, led by m.  The package counts the leads to get its basis,
-checks each counted lead's leading coefficient without generating R_m,
-and generates R_m only when a reduction reaches m.  Everything is checked
-here against eager builds that put every relation of a generator into
-the echelon first: the package's own relations, every generator-first
-circ product, the full-pairs relation generator and the depth-1
-reduction family with a generator first, and from-scratch eager builds
-at two consecutive cutoffs.
+relation R_m, led by m.  The package's basis is the subsets of the free
+alphabet, the factors (-1/2, a) of the generators of support 0; it
+checks the leading coefficient once per generator mode that splits a
+lead, by the lemma in zhu._check_lead, and generates R_m only when a
+reduction reaches m.  Everything is checked here against eager builds
+that classify the ambient Fock space by putting every relation of a
+generator into the echelon first: the package's own relations, every
+generator-first circ product, the full-pairs relation generator and the
+depth-1 reduction family with a generator first, and from-scratch eager
+builds at two consecutive cutoffs.  The per-monomial lead check is the
+oracle of the per-mode one, and an injected fault in either the lead
+check or the count is an error.
 """
 
 from fractions import Fraction
@@ -27,8 +31,8 @@ from vosa.cli import EXIT_ERROR, main
 from vosa.fields import mode
 from vosa.fock import graded_key, weight
 from vosa.modules import certified_zhu
-from vosa.zhu import (TwistContext, ZhuAlgebra, ctx_identity, ctx_sigma,
-                      ctx_tau, o_relations)
+from vosa.zhu import (TwistContext, ZhuAlgebra, block_profile, ctx_identity,
+                      ctx_sigma, ctx_tau, o_relations)
 
 H = Fraction(1, 2)
 
@@ -58,7 +62,8 @@ def _certification(ctx, w, margin):
 
 
 def _window_leads(alg):
-    """Graded keys of the monomials the build classified as leads."""
+    """Graded keys of the leads up to max_weight + max(margin, 1/2), the
+    window the build checks: the ambient monomials that are not free."""
     top = alg.max_weight + max(alg.margin, H)
     window = {graded_key(m) for m in alg.ctx.sector.basis(top)}
     return window - {graded_key(m) for m in alg.free_monomials(top)}
@@ -73,7 +78,7 @@ def _lazy_matches_eager(ctx, w, margin, relations, monkeypatch):
                    partial(EagerZhuAlgebra, relations=relations))
         eager, want = _certification(ctx, w, margin)
     assert got == want
-    # the counted leads are the eager pivots over the classified window,
+    # the leads are the eager pivots over the checked window,
     # and every relation generated on read is led by an eager pivot
     top = w + max(margin, H)
     assert _window_leads(lazy) == {k for k in eager.ech.pivots
@@ -117,11 +122,14 @@ def _params(names):
 
 LADDER = _params(oracles.LADDER)
 ROTATIONS = _params(oracles.ROTATIONS)
+# the order-4 twists, which neither list above holds
+ORDER4 = _params([name for name in TWISTS
+                  if name not in oracles.LADDER + oracles.ROTATIONS])
 
 SIGMA3_LOW = pytest.param(ctx_sigma(3), Fraction(1), Fraction(1),
                           id="sigma3-low")
-# margin 1/4 is the case where the build classifies the next half-weight
-# band beyond its guard band, for the stability flag
+# margin 1/4 is the case where the stability flag reads the next
+# half-weight band beyond the guard band
 MARGINS = [pytest.param(ctx, Fraction(2), margin, id=f"{name}-margin-{size}")
            for name, ctx in [("sigma2", ctx_sigma(2)), ("tau", ctx_tau())]
            for size, margin in [("quarter", H / 2), ("half", H)]]
@@ -171,31 +179,55 @@ def test_relation_without_its_lead_is_an_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: the O_g relation")
 
 
-def test_broken_lead_term_is_an_error_at_build(monkeypatch, capsys):
+# each delta the twist has: the lead is checked once per generator mode,
+# with u_{-delta-1}; the CLI reaches sigma2 and tau, not rot3
+@pytest.mark.parametrize("name,delta,argv", [
+    ("sigma2", 1, ["zhu", "--l", "2"]),
+    ("tau", 0, ["zhu", "--twist", "tau"]),
+    ("tau", 1, ["zhu", "--twist", "tau"]),
+    ("rot3", 0, None),
+    ("rot3", 1, None)],
+    ids=["sigma2-delta1", "tau-delta0", "tau-delta1", "rot3-delta0",
+         "rot3-delta1"])
+def test_broken_lead_term_is_an_error_at_build(name, delta, argv,
+                                               monkeypatch, capsys):
     mode_mono = zhu.mode_mono
 
     def lead_dropped(space, u, n, w):
-        # the i = 0 term of the residue sum, without its leading monomial
+        # the i = 0 term of the residue sum, without its leading monomial,
+        # for the generator modes of one delta
         top = dict(mode_mono(space, u, n, w))
-        if top:
+        if top and n == -1 - delta:
             del top[max(top, key=graded_key)]
         return top
 
     monkeypatch.setattr(zhu, "mode_mono", lead_dropped)
     monkeypatch.delenv("VOSA_CACHE_DIR", raising=False)
     with pytest.raises(RuntimeError, match="the O_g relation"):
-        ZhuAlgebra(ctx_sigma(2), 2)
-    assert main(["zhu", "--l", "2"]) == EXIT_ERROR
-    assert capsys.readouterr().err.startswith("error: the O_g relation")
+        ZhuAlgebra(TWISTS[name](), 2)
+    if argv:
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: the O_g relation")
 
 
 @pytest.mark.parametrize("ctx,w,margin",
-                         LADDER + ROTATIONS + [SIGMA3_LOW] + MARGINS)
-def test_lead_coefficient_is_a_binomial(ctx, w, margin):
+                         LADDER + ROTATIONS + [SIGMA3_LOW] + MARGINS + ORDER4
+                         + [pytest.param(ctx_sigma(5), Fraction(5, 2),
+                                         Fraction(1), id="sigma5")])
+def test_lead_coefficient_is_a_binomial(ctx, w, margin, monkeypatch):
     # for a lead m that is not twist-odd, with (mu, a) its first factor
     # with q = mu + delta(a) <= -1/2: the i = 0 term of u circ v, u the
     # generator mode ((q, a),) and v the rest of m, is +-C(p + delta, p) m
-    # with p = -q - 1/2, and it is all of R_m at the weight of m
+    # with p = -q - 1/2, and it is all of R_m at the weight of m; the
+    # build checked it once for u
+    modes = set()
+    check = zhu._check_lead
+
+    def spy(ctx, u):
+        modes.add(u)
+        check(ctx, u)
+
+    monkeypatch.setattr(zhu, "_check_lead", spy)
     alg = ZhuAlgebra(ctx, w, margin)
     leads = {k[1] for k in _window_leads(alg)}
     checked = 0
@@ -207,6 +239,7 @@ def test_lead_coefficient_is_a_binomial(ctx, w, margin):
         if ctx.rstar(m) != 0 or not split:
             continue
         i, q, a = split[0]
+        assert ((q, a),) in modes
         d = ctx.delta(((q, a),))
         p = int(-q - H)
         top = mode(ctx.sector, {((q, a),): 1}, -1 - d,
@@ -238,8 +271,8 @@ def test_one_build_stability_matches_two_cutoffs(ctx, w, margin,
     assert rep["high_covered"] == low.high_covered
     assert rep["dim_upper"] == low.dim
     assert lazy.basis == low.basis
-    # the leads the single build counts are the from-scratch pivots over
-    # its window: the guard band, or the next half-weight band if wider
+    # the leads of the single build's window are the from-scratch pivots
+    # over it: the guard band, or the next half-weight band if wider
     top = w + max(margin, H)
     leads = _window_leads(lazy)
     assert leads == set(low.ech.pivots)
@@ -269,7 +302,27 @@ def test_bounds_apart_is_a_reason(monkeypatch):
     assert rep["reasons"] == ["bounds_apart"]
 
 
-def test_sigma5_certified_dimension():
-    rep = certified_zhu(ctx_sigma(5), Fraction(5, 2))
+@pytest.mark.parametrize("ctx,w,margin", [
+    pytest.param(TWISTS[name](), Fraction(2), Fraction(1), id=name)
+    for name in ("sigma4", "tau", "rot3")])
+def test_squeeze_refutes_a_count_below_the_rank(ctx, w, margin,
+                                                monkeypatch):
+    # the count made to miss its top free monomial at every weight: the
+    # basis stays stable and the guard band covered, so only the zero-mode
+    # rank, one above the count, can tell
+    free = ZhuAlgebra.free_monomials
+    monkeypatch.setattr(ZhuAlgebra, "free_monomials",
+                        lambda self, w: free(self, w)[:-1])
+    with pytest.raises(RuntimeError, match="the zero-mode rank .* exceeds "
+                                           "the count"):
+        certified_zhu(ctx, w, margin)
+
+
+@pytest.mark.parametrize("l,blocks", [(5, [4, 4]), (6, [8]), (7, [8, 8]),
+                                      (8, [16])],
+                         ids=["sigma5", "sigma6", "sigma7", "sigma8"])
+def test_sigma_ladder_certified_dimension(l, blocks):
+    rep = certified_zhu(ctx_sigma(l), Fraction(l, 2))
     assert rep["certified"] and rep["reasons"] == []
-    assert rep["dim_upper"] == rep["dim_lower"] == 32
+    assert rep["dim_upper"] == rep["dim_lower"] == 2 ** l
+    assert block_profile(rep["algebra"])["blocks"] == blocks
